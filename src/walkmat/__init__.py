@@ -5,9 +5,8 @@ vertex subset, recover the spectral decomposition (rank, main polynomial,
 main eigenvalues/eigenvectors) from W alone, reconstruct the adjacency
 matrix whenever rank(W) >= n-2, and canonicalize walk matrices for
 walk-equivalence and isomorphism certificates.  All core algebra is exact
-over arbitrary-precision rationals; floating point appears only in clearly
-marked derived views and candidate generation, always backed by exact
-re-verification.
+over arbitrary-precision rationals; floating point appears only in the
+numeric realization, a clearly marked derived view.
 """
 
 from .canonical import (IsoCertificate, LexForm, certify_isomorphism,

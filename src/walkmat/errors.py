@@ -65,6 +65,10 @@ class RootsNotSeparated(WalkmatError):
     """Two polished polynomial roots coincide within tolerance."""
 
 
+class RealizationFailed(WalkmatError):
+    """A numeric realization failed its own E*M = W or column-sum check."""
+
+
 # --- reconstruction ---
 
 class CandidateNotGraph(WalkmatError):

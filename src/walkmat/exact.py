@@ -422,7 +422,7 @@ def char_poly(a: ExactMatrix) -> IntPolynomial:
         # exact for integer matrices: the k-th trace is divisible by k
         ck, rem = divmod(-tr, k)
         if rem:
-            raise AssertionError("characteristic polynomial not integral")
+            raise NonInteger("characteristic polynomial not integral")
         coeffs.append(ck)
         m = [[am[i][j] + (ck if i == j else 0) for j in range(n)]
              for i in range(n)]

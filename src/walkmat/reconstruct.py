@@ -1,17 +1,25 @@
-"""Adjacency matrix recovery from a walk matrix of rank >= n-2.
+"""Adjacency matrix recovery from a walk matrix of rank r >= n-2.
 
-Dispatch on r = rank(W):
+Every candidate comes from one exact formula,
 
-* r = n: exact.  The characteristic recurrence gives A^n e, so A W = W_[1,n]
-  can be solved rationally (no eigenvalue extraction needed).
-* r = n-1: exact.  The single non-main eigenvalue is the integer a_1 read off
-  the main polynomial, its projector is I - W_[0,r-1] W^+, and A follows.
-* r = n-2: the two non-main eigenvalues come from the discriminant
-  d = 4(a_2 + m) - 3 a_1^2 (m = edge count).  For d = 0 the path stays exact;
-  for d > 0 candidate kernel vectors are generated in floating point and every
-  candidate adjacency matrix is re-verified exactly, so float arithmetic can
-  only lose candidates, never produce a wrong graph.
-* r < n-2: undetermined (the theory provides counterexamples).
+    A = A_W + K S K^T,
+
+where A_W = W_[1,r] W^+ is the part of A seen through the column space of W,
+K is an integer basis of ker W^T (no columns at r = n, one at n-1, two at
+n-2) and S is an unknown symmetric (n-r) x (n-r) matrix: ker W^T is
+A-invariant, so A acts on it as K S K^T.
+
+* The zero diagonal of A gives n linear equations in the entries of S.  At
+  r = n there is no S (A = A_W); at r = n-1 they fix S; at r = n-2 they fix
+  S or leave a line S_0 + t D.
+* On a line, A_W K = 0 gives ||A||_F^2 = ||A_W||_F^2 + tr(S G S G) with
+  G = K^T K, and ||A||_F^2 = 2m (m = edge count) is a quadratic in t with at
+  most two rational roots.
+
+This is the constructive form of "W determines A at rank n and n-1 and
+allows at most two graphs at rank n-2".  All arithmetic is exact and every
+candidate regenerates W exactly before it is returned.  r < n-2 is
+undetermined (the theory provides counterexamples).
 """
 
 from __future__ import annotations
@@ -20,22 +28,16 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (CandidateNotGraph, MissingEdgeCount,
-                     NegativeDiscriminant, NoSolution, NonUnique, Singular,
-                     WalkmatError)
-from .exact import ExactMatrix, kernel_basis, rank, solve_matrix
-from .graphs import Graph, emit_graph6
-from .spectral import _w0_and_dagger, _w_upper, summary_from_walk
+                     NegativeDiscriminant, WalkmatError)
+from .exact import QQ, ExactMatrix, kernel_basis, rank
+from .graphs import Graph, edge_count, emit_graph6
+from .spectral import _kernel_and_restriction, _summary_at_rank
 from .walk import WalkMatrix, walk_matrix
 
 RANK_TOO_LOW = "rank_too_low"
 NO_VALID_CANDIDATE = "no_valid_candidate"
 MISSING_EDGE_COUNT = "missing_edge_count"
-
-# coordinate filtering and entry rounding tolerance for the float path
-CANDIDATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -95,51 +97,120 @@ def verify_candidate(a: ExactMatrix, w: WalkMatrix) -> bool:
     return walk_matrix(g, w.vertex_set).w == w.w
 
 
+def _symmetric(d: int, upper) -> ExactMatrix:
+    """The symmetric d x d matrix whose upper triangle, row by row, is upper."""
+    s = [[QQ(0)] * d for _ in range(d)]
+    it = iter(upper)
+    for a in range(d):
+        for b in range(a, d):
+            s[a][b] = s[b][a] = next(it)
+    return ExactMatrix(s)
+
+
+def _trace(x: ExactMatrix) -> QQ:
+    return sum((x[i, i] for i in range(x.rows)), QQ(0))
+
+
+def _rational_sqrt(q: QQ) -> QQ | None:
+    if q < 0:
+        return None
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        return None
+    return QQ(num, den)
+
+
+def _kernel_parts(kt: ExactMatrix, a_w: ExactMatrix,
+                  m: int | None) -> list[ExactMatrix]:
+    """Every S giving A_W + K S K^T a zero diagonal; on a line of such S,
+    only the points where ||A||_F^2 = 2m.  kt is K^T."""
+    d, n = kt.shape
+    # diagonal entry i is a_w[i,i] + sum_{a<=b} (1 or 2) K[i,a] K[i,b] S[a,b],
+    # so each solution S is a kernel vector (upper triangle of S, 1) of these
+    # rows
+    rows = [[(1 if a == b else 2) * kt[a, i] * kt[b, i]
+             for a in range(d) for b in range(a, d)] + [a_w[i, i]]
+            for i in range(n)]
+    # kernel_basis sets one free variable to 1 in each vector, the last
+    # column last, so only a consistent system ends in a vector (s0, 1)
+    basis = kernel_basis(ExactMatrix(rows))
+    if not basis or basis[-1][-1] != 1:
+        return []
+    s0 = _symmetric(d, basis[-1][:-1])
+    if len(basis) == 1:
+        return [s0]
+    # K has full column rank: at d = 1 the one unknown is fixed, at d = 2 two
+    # non-parallel rows of K give independent equations, so what is left is
+    # at most a line S = s0 + t step, and only at r = n-2, where m is known
+    (line,) = basis[:-1]
+    step = _symmetric(d, line[:-1])
+    g = kt * kt.transpose()
+    x0, y = s0 * g, step * g
+    # ||A_W||_F^2 + tr((x0 + t y)^2) = 2m, i.e. qa t^2 + qb t + qc = 0, with
+    # qa = tr((step G)^2) > 0 because G = K^T K is positive definite
+    qa, qb = _trace(y * y), 2 * _trace(x0 * y)
+    qc = (_trace(x0 * x0) - 2 * m
+          + sum(x * x for i in range(n) for x in a_w.row(i)))
+    root = _rational_sqrt(qb * qb - 4 * qa * qc)
+    if root is None:
+        return []
+    ts = dict.fromkeys(((-qb + root) / (2 * qa), (-qb - root) / (2 * qa)))
+    return [s0 + t * step for t in ts]
+
+
+def _reconstruct(w: WalkMatrix, r: int,
+                 m: int | None = None) -> ReconstructionResult:
+    """Every graph A = A_W + K S K^T that regenerates W, at rank r >= n-2;
+    m is the edge count, given exactly when r = n-2.
+
+    Raises a WalkmatError when W is visibly not a walk matrix.
+    """
+    summary = _summary_at_rank(w, r)
+    if m is not None:
+        # the two non-main eigenvalues are real only if d >= 0
+        a2, a1 = ((0, 0) + summary.main_poly.coeffs)[-3:-1]
+        d = 4 * (a2 + m) - 3 * a1 * a1
+        if d < 0:
+            raise NegativeDiscriminant(
+                f"discriminant {d} < 0; not a genuine walk matrix")
+    k, a_w = _kernel_and_restriction(w, r, summary)
+    if k:
+        kt = ExactMatrix(k)
+        candidates = [a_w + kt.transpose() * s * kt
+                      for s in _kernel_parts(kt, a_w, m)]
+    else:
+        candidates = [a_w]
+    graphs = []
+    for a in candidates:
+        if verify_candidate(a, w):
+            g = _validate_adjacency(a)
+            # the edge count is part of the input at rank n-2
+            if m is None or edge_count(g) == m:
+                graphs.append(g)
+    if not graphs:
+        return ReconstructionResult.undetermined(NO_VALID_CANDIDATE)
+    if len(graphs) == 1:
+        return ReconstructionResult.unique(graphs[0])
+    return ReconstructionResult.pair(*graphs)
+
+
+def _unique_graph(w: WalkMatrix, r: int, wrong_rank: str) -> Graph:
+    if rank(w.w) != r:
+        raise ValueError(wrong_rank)
+    res = _reconstruct(w, r)
+    if res.status != "unique":
+        raise CandidateNotGraph("no candidate regenerates W")
+    return res.graphs[0]
+
+
 def rank_n(w: WalkMatrix) -> Graph:
-    """Full-rank reconstruction: A = W_[1,n] W^{-1}, all rational."""
-    summary = summary_from_walk(w)
-    if not summary.full_rank:
-        raise ValueError("rank_n needs a full-rank walk matrix")
-    w1n = _w_upper(w, w.n, summary)
-    # A W = W_[1,n]  <=>  W^T A^T = W_[1,n]^T
-    at = solve_matrix(w.w.transpose(), w1n.transpose())
-    return _validate_adjacency(at.transpose())
+    """Full rank: A = A_W, the solution of A W = W_[1,n]."""
+    return _unique_graph(w, w.n, "rank_n needs a full-rank walk matrix")
 
 
 def rank_n1(w: WalkMatrix) -> Graph:
-    """Rank n-1: A = W_[1,r] W^+ + lambda_n (f f^T) with everything rational."""
-    n = w.n
-    summary = summary_from_walk(w)
-    r = summary.r
-    if r != n - 1:
-        raise ValueError("rank_n1 needs rank exactly n-1")
-    # main = x^r + a_1 x^{r-1} + ...; trace zero makes lambda_n = a_1
-    a1 = summary.main_poly.coeffs[r - 1]
-    w0, wdag = _w0_and_dagger(w, r)
-    proj = ExactMatrix.identity(n) - w0 * wdag
-    a = w.w.take_cols(range(1, r + 1)) * wdag + a1 * proj
-    return _validate_adjacency(a)
-
-
-def _orthonormal_kernel_pair(w: WalkMatrix) -> tuple[np.ndarray, np.ndarray]:
-    basis = kernel_basis(w.w.transpose())
-    if len(basis) != 2:
-        raise ValueError("rank n-2 kernel should be two-dimensional")
-    k = np.array([[float(x) for x in vec] for vec in basis]).T
-    q, _ = np.linalg.qr(k)
-    return q[:, 0], q[:, 1]
-
-
-def _pick_coordinates(u: np.ndarray, v: np.ndarray,
-                      usable: list[int]) -> tuple[int, int, float]:
-    best = (usable[0], usable[0], 0.0)
-    for a in range(len(usable)):
-        for b in range(a + 1, len(usable)):
-            i, j = usable[a], usable[b]
-            det = abs(u[i] * v[j] - u[j] * v[i])
-            if det > best[2]:
-                best = (i, j, det)
-    return best
+    """Rank n-1: A = A_W + s k k^T, s read off the zero diagonal."""
+    return _unique_graph(w, w.n - 1, "rank_n1 needs rank exactly n-1")
 
 
 def rank_n2(w: WalkMatrix, m: int | None = None) -> ReconstructionResult:
@@ -148,97 +219,20 @@ def rank_n2(w: WalkMatrix, m: int | None = None) -> ReconstructionResult:
     m is the edge count; when omitted it is derived from column 1 of W for
     S = V, otherwise MissingEdgeCount is raised.
     """
-    n = w.n
+    m = _edge_count(w, m)
+    r = rank(w.w)
+    if r != w.n - 2:
+        raise ValueError("rank_n2 needs rank exactly n-2")
+    return _reconstruct(w, r, m)
+
+
+def _edge_count(w: WalkMatrix, m: int | None) -> int:
     if m is None:
         m = derive_edge_count(w)
-        if m is None:
-            raise MissingEdgeCount(
-                "rank n-2 with a proper subset S needs the edge count")
-    summary = summary_from_walk(w)
-    r = summary.r
-    if r != n - 2:
-        raise ValueError("rank_n2 needs rank exactly n-2")
-    coeffs = summary.main_poly.coeffs
-    a1 = coeffs[r - 1] if r >= 1 else 0
-    a2 = coeffs[r - 2] if r >= 2 else 0
-    d = 4 * (a2 + m) - 3 * a1 * a1
-    if d < 0:
-        raise NegativeDiscriminant(
-            f"discriminant {d} < 0; not a genuine walk matrix")
-
-    w0, wdag = _w0_and_dagger(w, r)
-    proj = ExactMatrix.identity(n) - w0 * wdag
-    base = w.w.take_cols(range(1, r + 1)) * wdag
-
-    if d == 0:
-        # repeated non-main eigenvalue a_1 / 2 must be an integer
-        if a1 % 2 != 0:
-            return ReconstructionResult.undetermined(NO_VALID_CANDIDATE)
-        a = base + (a1 // 2) * proj
-        try:
-            g = _validate_adjacency(a)
-        except CandidateNotGraph:
-            return ReconstructionResult.undetermined(NO_VALID_CANDIDATE)
-        if not verify_candidate(a, w):
-            return ReconstructionResult.undetermined(NO_VALID_CANDIDATE)
-        return ReconstructionResult.unique(g)
-
-    sqrt_d = math.sqrt(d)
-    lam1 = (a1 - sqrt_d) / 2.0
-    b = (np.array(base.to_float_rows())
-         + lam1 * np.array(proj.to_float_rows()))
-    b = (b + b.T) / 2.0
-    q = -np.diag(b) / sqrt_d
-
-    u, v = _orthonormal_kernel_pair(w)
-    usable = [i for i in range(n) if q[i] > CANDIDATE_TOL]
-    if not usable:
-        return ReconstructionResult.undetermined(NO_VALID_CANDIDATE)
-
-    fs: list[np.ndarray] = []
-    i, j, det = (0, 0, 0.0)
-    if len(usable) >= 2:
-        i, j, det = _pick_coordinates(u, v, usable)
-    if len(usable) < 2 or det < 1e-12:
-        # q concentrates on one coordinate: f is the normalized kernel
-        # projection of that coordinate vector (sign is irrelevant)
-        i = int(np.argmax(q))
-        f = u[i] * u + v[i] * v
-        norm = np.linalg.norm(f)
-        if norm > 0:
-            fs.append(f / norm)
-    else:
-        mat = np.array([[u[i], v[i]], [u[j], v[j]]])
-        for sj in (1.0, -1.0):
-            rhs = np.array([math.sqrt(q[i]), sj * math.sqrt(q[j])])
-            alpha, beta = np.linalg.solve(mat, rhs)
-            if abs(alpha * alpha + beta * beta - 1.0) > CANDIDATE_TOL:
-                continue
-            f = alpha * u + beta * v
-            if np.max(np.abs(f * f - q)) > CANDIDATE_TOL:
-                continue
-            fs.append(f)
-
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    verified: list[Graph] = []
-    for f in fs:
-        af = b + sqrt_d * np.outer(f, f)
-        rounded = np.rint(af)
-        if np.max(np.abs(af - rounded)) > CANDIDATE_TOL:
-            continue
-        grid = tuple(tuple(int(x) for x in row) for row in rounded)
-        if grid in seen:
-            continue
-        seen.add(grid)
-        cand = ExactMatrix(grid)
-        if verify_candidate(cand, w):
-            verified.append(_validate_adjacency(cand))
-    if not verified:
-        return ReconstructionResult.undetermined(NO_VALID_CANDIDATE)
-    if len(verified) == 1:
-        return ReconstructionResult.unique(verified[0])
-    assert len(verified) == 2, "more than two graphs share a rank n-2 walk matrix"
-    return ReconstructionResult.pair(verified[0], verified[1])
+    if m is None:
+        raise MissingEdgeCount(
+            "rank n-2 with a proper subset S needs the edge count")
+    return m
 
 
 def derive_edge_count(w: WalkMatrix) -> int | None:
@@ -255,30 +249,16 @@ def derive_edge_count(w: WalkMatrix) -> int | None:
 def reconstruct(inp: ReconstructionInput) -> ReconstructionResult:
     """Dispatch on rank; every returned graph regenerates W exactly."""
     w = inp.w
-    n = w.n
     r = rank(w.w)
-    if r == n:
-        return _checked_unique(rank_n, w)
-    if r == n - 1:
-        return _checked_unique(rank_n1, w)
-    if r == n - 2:
-        try:
-            return rank_n2(w, inp.edge_count_hint)
-        except MissingEdgeCount:
-            return ReconstructionResult.undetermined(MISSING_EDGE_COUNT)
-        except (WalkmatError, ValueError):
-            return ReconstructionResult.undetermined(NO_VALID_CANDIDATE)
-    return ReconstructionResult.undetermined(RANK_TOO_LOW)
-
-
-def _checked_unique(builder, w: WalkMatrix) -> ReconstructionResult:
+    if r < w.n - 2:
+        return ReconstructionResult.undetermined(RANK_TOO_LOW)
     try:
-        g = builder(w)
-    except (CandidateNotGraph, NoSolution, NonUnique, Singular, ValueError):
+        m = _edge_count(w, inp.edge_count_hint) if r == w.n - 2 else None
+        return _reconstruct(w, r, m)
+    except MissingEdgeCount:
+        return ReconstructionResult.undetermined(MISSING_EDGE_COUNT)
+    except WalkmatError:
         return ReconstructionResult.undetermined(NO_VALID_CANDIDATE)
-    if walk_matrix(g, w.vertex_set).w != w.w:
-        return ReconstructionResult.undetermined(NO_VALID_CANDIDATE)
-    return ReconstructionResult.unique(g)
 
 
 def result_to_json(result: ReconstructionResult) -> str:

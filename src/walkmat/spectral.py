@@ -17,12 +17,14 @@ tolerance; every consumer that needs exactness re-verifies rationally.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, RootsNotSeparated
-from .exact import ExactMatrix, IntPolynomial, QQ, inverse, rank, solve
+from .errors import EmptySet, NonInteger, RealizationFailed, RootsNotSeparated
+from .exact import (ExactMatrix, IntPolynomial, kernel_basis, rank, solve,
+                    solve_matrix)
 from .graphs import Graph, VertexSet
 from .walk import WalkMatrix, walk_matrix, walk_slice
 
@@ -70,7 +72,7 @@ def _char_from_hankel(w: WalkMatrix) -> IntPolynomial:
     gram = h.take_rows(range(n - 1)).take_cols(range(n - 1))
     c = solve(gram, [-x for x in w_vec])
     if any(x.denominator != 1 for x in c):
-        raise ValueError("recovered polynomial is not integral; "
+        raise NonInteger("recovered polynomial is not integral; "
                          "input is not a genuine walk matrix")
     coeffs = [int(x) for x in c] + [0, 1]  # c_{n-1} = trace(A) = 0
     return IntPolynomial(coeffs)
@@ -78,15 +80,18 @@ def _char_from_hankel(w: WalkMatrix) -> IntPolynomial:
 
 def summary_from_walk(w: WalkMatrix) -> SpectralSummary:
     """Spectral summary computed from W alone (no graph needed)."""
-    r = rank(w.w)
-    n = w.n
-    if r == n:
+    return _summary_at_rank(w, rank(w.w))
+
+
+def _summary_at_rank(w: WalkMatrix, r: int) -> SpectralSummary:
+    """summary_from_walk for a caller that already knows r = rank(W)."""
+    if r == w.n:
         char = _char_from_hankel(w)
         return SpectralSummary(r, char, True, char)
     w0 = w.w.take_cols(range(r))
     f = solve(w0, w.w.col(r))
     if any(x.denominator != 1 for x in f):
-        raise ValueError("main polynomial is not integral; "
+        raise NonInteger("main polynomial is not integral; "
                          "input is not a genuine walk matrix")
     coeffs = [-int(x) for x in f] + [1]
     return SpectralSummary(r, IntPolynomial(coeffs), False, None)
@@ -111,45 +116,40 @@ def main_poly_via_dependence(g: Graph, s: VertexSet) -> IntPolynomial:
     return IntPolynomial([-int(x) for x in f] + [1])
 
 
-def _w0_and_dagger(w: WalkMatrix, r: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """W_[0,r-1] and W^+ = (W_[0,r-1]^T W_[0,r-1])^{-1} W_[0,r-1]^T, exact."""
-    w0 = w.w.take_cols(range(r))
-    gram = w0.transpose() * w0
-    return w0, inverse(gram) * w0.transpose()
+def _integer_kernel(w: WalkMatrix) -> list[list[int]]:
+    """Basis of ker W^T, each vector scaled to integers."""
+    out = []
+    for v in kernel_basis(w.w.transpose()):
+        scale = math.lcm(*(x.denominator for x in v))
+        out.append([int(x * scale) for x in v])
+    return out
 
 
-def _column_power_full_rank(w: WalkMatrix, char: IntPolynomial) -> list[QQ]:
-    """A^n e for a full-rank walk matrix, via the characteristic recurrence."""
+def _kernel_and_restriction(w: WalkMatrix, r: int,
+                            summary: SpectralSummary | None = None
+                            ) -> tuple[list[list[int]], ExactMatrix]:
+    """(K, A_W): an integer basis K of ker W^T and A_W = W_[1,r] W^+.
+
+    A_W maps W_[0,r-1] to W_[1,r] and K to 0, so X = A_W^T is the unique
+    solution of [W_[0,r-1] | K]^T X = [W_[1,r]^T ; 0].  At r = n, K is
+    empty, A^n e comes from the characteristic recurrence and A_W = A.
+    """
     n = w.n
-    cs = char.coeffs  # ascending, degree n, monic
-    col = [QQ(0)] * n
-    for i in range(n):
-        ci = cs[i]
-        if ci == 0:
-            continue
-        wi = w.w.col(i)
-        col = [acc - ci * x for acc, x in zip(col, wi)]
-    return col
-
-
-def _w_upper(w: WalkMatrix, r: int,
-             summary: SpectralSummary | None = None) -> ExactMatrix:
-    """W_[1,r]: columns Ae .. A^r e (extends past W when r = n)."""
-    n = w.n
-    if r < n:
-        return w.w.take_cols(range(1, r + 1))
-    if summary is None or summary.char_poly is None:
-        summary = summary_from_walk(w)
-    last = _column_power_full_rank(w, summary.char_poly)
-    cols = [list(w.w.col(k)) for k in range(1, n)] + [last]
-    return ExactMatrix.from_columns(cols)
+    upper = [w.w.col(k) for k in range(1, min(r + 1, n))]
+    if r == n:
+        # A^n e = -sum_i c_i A^i e, c the characteristic polynomial
+        cs = (summary or summary_from_walk(w)).char_poly.coeffs
+        upper.append([-sum(c * x for c, x in zip(cs, w.w.row(v)))
+                      for v in range(n)])
+    k = _integer_kernel(w) if r < n else []
+    lhs = ExactMatrix([w.w.col(j) for j in range(r)] + k)
+    rhs = ExactMatrix(upper + [[0] * n] * len(k))
+    return k, solve_matrix(lhs, rhs).transpose()
 
 
 def restriction_from_walk(w: WalkMatrix) -> Restriction:
-    """A_W = W_[1,r] (W_[0,r-1]^T W_[0,r-1])^{-1} W_[0,r-1]^T, exact."""
-    r = rank(w.w)
-    _, wdag = _w0_and_dagger(w, r)
-    return Restriction(_w_upper(w, r) * wdag)
+    """A_W = W_[1,r] W^+, exact (W^+ the pseudo-inverse of W_[0,r-1])."""
+    return Restriction(_kernel_and_restriction(w, rank(w.w))[1])
 
 
 def restriction(g: Graph, s: VertexSet) -> Restriction:
@@ -159,10 +159,12 @@ def restriction(g: Graph, s: VertexSet) -> Restriction:
 
 
 def kernel_projector_from_walk(w: WalkMatrix) -> ExactMatrix:
-    """I - W_[0,r-1] W^+: exact orthogonal projector onto ker(W^T)."""
-    r = rank(w.w)
-    w0, wdag = _w0_and_dagger(w, r)
-    return ExactMatrix.identity(w.n) - w0 * wdag
+    """K (K^T K)^{-1} K^T: exact orthogonal projector onto ker(W^T)."""
+    k = _integer_kernel(w)
+    if not k:
+        return ExactMatrix.zeros(w.n, w.n)
+    kt = ExactMatrix(k)
+    return kt.transpose() * solve_matrix(kt * kt.transpose(), kt)
 
 
 def kernel_projector(g: Graph, s: VertexSet) -> ExactMatrix:
@@ -216,11 +218,12 @@ def realize_from_walk(w: WalkMatrix, tol: float = ROOT_TOL) -> NumericRealizatio
     check = REALIZE_CHECK_TOL
     wf = np.array(w.w.to_float_rows())
     scale = max(1.0, np.max(np.abs(wf)))
-    assert np.max(np.abs(vec @ eig - wf)) <= check * scale, \
-        "realization failed the E*M = W check"
+    # written as "not <=" so that a NaN residual fails too
+    if not np.max(np.abs(vec @ eig - wf)) <= check * scale:
+        raise RealizationFailed("realization failed the E*M = W check")
     e_char = np.array([float(x) for x in w.vertex_set.characteristic])
-    assert np.max(np.abs(vec.sum(axis=1) - e_char)) <= check, \
-        "eigenvector columns do not sum to e"
+    if not np.max(np.abs(vec.sum(axis=1) - e_char)) <= check:
+        raise RealizationFailed("eigenvector columns do not sum to e")
     return NumericRealization(tuple(mu), eig, vec, check)
 
 

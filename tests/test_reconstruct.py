@@ -131,6 +131,19 @@ def test_rank_n2_negative_discriminant():
         rank_n2(w, 0)   # lying about the edge count drives d negative
 
 
+def test_rank_n2_honours_the_given_edge_count():
+    # the edge count is part of a rank n-2 input: when the zero diagonal
+    # alone fixes the candidate, a graph with another edge count is still
+    # not returned
+    empty3 = from_edge_list(3, [])
+    w = walk_matrix(empty3, VertexSet.full(3))
+    assert rank(w.w) == 1
+    res = reconstruct(ReconstructionInput(w, 4))
+    assert res.status == "undetermined" and res.reason == "no_valid_candidate"
+    res = reconstruct(ReconstructionInput(w, 0))
+    assert res.status == "unique" and res.graphs[0].adj == empty3.adj
+
+
 def test_verify_candidate(mates8):
     g1, g2 = mates8
     w = WalkMatrix.from_matrix(ExactMatrix(refdata.MATES8_W))
@@ -174,10 +187,14 @@ def test_reconstruct_roundtrip_random_mixed():
     assert hits > 100
 
 
-def _with_twin_pair(seed, m):
-    """Random graph on m vertices plus false twins of two of them.
+def _with_twin_pair(seed, m, true_twin=False):
+    """Random graph on m vertices plus twins of two of them.
 
-    Twin rows coincide in the walk matrix, forcing rank <= n-2.
+    The first added vertex is a false twin of its original (same open
+    neighbourhood, non-main eigenvalue 0); the second is a false twin too,
+    or with true_twin a true twin adjacent to its original (same closed
+    neighbourhood, non-main eigenvalue -1).  Twin rows coincide in the walk
+    matrix, forcing rank <= n-2.
     """
     rng = SplitMix64(seed)
     g = random_graph(m, rng)
@@ -193,27 +210,36 @@ def _with_twin_pair(seed, m):
         adj[m][j] = adj[j][m] = g.adj[u][j]
         adj[m + 1][j] = adj[j][m + 1] = g.adj[v][j]
     adj[m][m + 1] = adj[m + 1][m] = g.adj[u][v]
+    if true_twin:
+        adj[v][m + 1] = adj[m + 1][v] = 1
     return Graph(n, tuple(tuple(r) for r in adj))
 
 
 def test_rank_n2_twin_stress_up_to_n16():
-    # exercises the float candidate path well past the random-sampling sizes
-    found = 0
-    seed = 0
-    while found < 10:
-        g = _with_twin_pair(seed, 10 + seed % 5)
-        seed += 1
-        assert seed < 5000, "twin hunt exhausted"
-        if g is None:
-            continue
-        v = VertexSet.full(g.n)
-        w = walk_matrix(g, v)
-        if rank(w.w) != g.n - 2:
-            continue
-        found += 1
-        res = reconstruct(ReconstructionInput(w))
-        assert any(c.adj == g.adj for c in res.graphs)
-        assert all(walk_matrix(c, v).w == w.w for c in res.graphs)
+    # rank n-2 well past the random-sampling sizes: two false twins give the
+    # double non-main eigenvalue 0 (discriminant d = 0); a false and a true
+    # twin give the distinct non-main eigenvalues 0 and -1 (d > 0)
+    for true_twin in (False, True):
+        found = 0
+        seed = 0
+        while found < 10:
+            g = _with_twin_pair(seed, 10 + seed % 5, true_twin)
+            seed += 1
+            assert seed < 5000, "twin hunt exhausted"
+            if g is None:
+                continue
+            v = VertexSet.full(g.n)
+            w = walk_matrix(g, v)
+            if rank(w.w) != g.n - 2:
+                continue
+            found += 1
+            coeffs = summary_from_walk(w).main_poly.coeffs
+            a1, a2 = coeffs[-2], coeffs[-3]
+            d = 4 * (a2 + derive_edge_count(w)) - 3 * a1 * a1
+            assert (d > 0) == true_twin
+            res = reconstruct(ReconstructionInput(w))
+            assert any(c.adj == g.adj for c in res.graphs)
+            assert all(walk_matrix(c, v).w == w.w for c in res.graphs)
 
 
 def test_tiny_graphs_roundtrip():

@@ -1,7 +1,13 @@
 """Spectral recovery from walk matrices: both rank branches, the numeric
 realization, the W-restriction and the kernel projector."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,3 +212,47 @@ def test_empty_set_errors(paw):
                main_eigen_realize):
         with pytest.raises(EmptySet):
             fn(paw, empty)
+
+
+def test_realize_check_survives_python_O():
+    # the realization checks must hold under `python -O`, which strips
+    # asserts: at n = 32 main_eigen_realize either fails with
+    # RealizationFailed or returns E, M with E*M = W and rows of E summing
+    # to e, both within its stated tolerance (as in test_realize_invariants)
+    code = textwrap.dedent("""
+        import json, sys
+        import numpy as np
+        from walkmat import SplitMix64, VertexSet, random_graph, walk_matrix
+        from walkmat.errors import RealizationFailed
+        from walkmat.spectral import main_eigen_realize
+        g = random_graph(32, SplitMix64(32))
+        s = VertexSet.full(32)
+        out = {"optimize": sys.flags.optimize}
+        try:
+            real = main_eigen_realize(g, s)
+        except RealizationFailed:
+            out["raised"] = True
+        else:
+            wf = np.array(walk_matrix(g, s).w.to_float_rows())
+            e = np.array(s.characteristic, dtype=float)
+            out.update(
+                raised=False, tolerance=real.tolerance,
+                scale=max(1.0, float(np.max(np.abs(wf)))),
+                residual=float(np.max(np.abs(
+                    real.vec_matrix @ real.eig_matrix - wf))),
+                row_sum_error=float(np.max(np.abs(
+                    real.vec_matrix.sum(axis=1) - e))))
+        print(json.dumps(out))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1
+    if not out["raised"]:
+        assert out["residual"] <= out["tolerance"] * out["scale"]
+        assert out["row_sum_error"] <= out["tolerance"]
