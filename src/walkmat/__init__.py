@@ -4,16 +4,17 @@ Compute the walk matrix W^S = [e, Ae, ..., A^{n-1}e] of a graph for any
 vertex subset, recover the spectral decomposition (rank, main polynomial,
 main eigenvalues/eigenvectors) from W alone, reconstruct the adjacency
 matrix whenever rank(W) >= n-2, and canonicalize walk matrices for
-walk-equivalence and isomorphism certificates.  All core algebra is exact
-over arbitrary-precision rationals; floating point appears only in the
-numeric realization, a clearly marked derived view.
+walk-equivalence and isomorphism certificates.  All core algebra is exact:
+eliminations are fraction-free over integers and rationals appear only in
+their answers; floating point appears only in the numeric realization, a
+clearly marked derived view.
 """
 
 from .canonical import (IsoCertificate, LexForm, certify_isomorphism,
                         certify_set_automorphism, lex_form,
                         restriction_equivalence_check, walk_equivalent)
-from .exact import (ExactMatrix, IntPolynomial, QQ, char_poly, inverse,
-                    kernel_basis, poly_divides, rank, solve)
+from .exact import (ExactMatrix, IntPolynomial, QQ, char_poly, kernel_basis,
+                    poly_divides, rank, solve)
 from .graphs import (Graph, VertexSet, degree_sequence, edge_count,
                      emit_graph6, from_edge_list, parse_adjacency_text,
                      parse_edge_list_text, parse_graph6)

@@ -188,14 +188,14 @@ def _cmd_canon(args, out) -> int:
         w = walk.walk_matrix(g, s)
         labels = g.labels
     lf = canonical.lex_form(w)
+    # the label of the input row at each sorted position
+    row_labels = [labels[orig] for orig in
+                  sorted(range(w.n), key=lf.perm.__getitem__)]
     if args.format in ("table", "matrix"):
         if args.labels:
-            inv = [0] * w.n
-            for orig, pos in enumerate(lf.perm):
-                inv[pos] = orig
-            for pos in range(w.n):
+            for pos, label in enumerate(row_labels):
                 row = " ".join(str(x) for x in lf.matrix.row(pos))
-                print(f"{row}  {labels[inv[pos]]}", file=out)
+                print(f"{row}  {label}", file=out)
         else:
             _print_matrix(lf.matrix, out)
         print("permutation " + canonical.format_cycles(lf.perm, labels),
@@ -205,10 +205,7 @@ def _cmd_canon(args, out) -> int:
                "permutation": [p + 1 for p in lf.perm],
                "cycles": canonical.format_cycles(lf.perm, labels)}
         if args.labels:
-            inv = [0] * w.n
-            for orig, pos in enumerate(lf.perm):
-                inv[pos] = orig
-            obj["row_labels"] = [labels[inv[pos]] for pos in range(w.n)]
+            obj["row_labels"] = row_labels
         print(json.dumps(obj), file=out)
     return EXIT_OK
 

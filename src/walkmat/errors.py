@@ -15,10 +15,6 @@ class NonUnique(WalkmatError):
     """Linear system is underdetermined."""
 
 
-class Singular(WalkmatError):
-    """Matrix has no inverse."""
-
-
 class NonInteger(WalkmatError):
     """Integer entries were required but rational ones were found."""
 
@@ -59,6 +55,12 @@ class NotDisjoint(WalkmatError):
     """Two vertex sets were required to be disjoint."""
 
 
+class NotAWalkMatrix(WalkmatError):
+    """The input cannot be the walk matrix of any graph: its leading columns
+    are dependent, a recovered polynomial is not integral, or the degree sum
+    is odd."""
+
+
 # --- spectral / numeric realization ---
 
 class RootsNotSeparated(WalkmatError):
@@ -79,7 +81,7 @@ class MissingEdgeCount(WalkmatError):
     """Rank n-2 reconstruction with a proper subset S needs the edge count."""
 
 
-class NegativeDiscriminant(WalkmatError):
+class NegativeDiscriminant(NotAWalkMatrix):
     """The non-main eigenvalue discriminant is negative; the input is not a
     genuine walk matrix."""
 

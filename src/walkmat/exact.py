@@ -1,9 +1,12 @@
 """Exact rational linear algebra.
 
-Everything here works over arbitrary-precision rationals (``fractions.Fraction``,
-aliased ``QQ``) so that rank, solve, inverse, kernel and characteristic
-polynomial are exact.  Elimination uses fraction-free Bareiss pivoting with
-first-nonzero pivot selection, which makes every result deterministic.
+Matrices hold arbitrary-precision rationals (``fractions.Fraction``, aliased
+``QQ``), and rank, solve, kernel and characteristic polynomial are exact.
+All elimination runs through one fraction-free Gauss-Jordan loop over
+Python integers (`_echelon`, Bareiss's integer-preserving step): each row
+is first scaled to integers, and only the final answers become fractions
+``x / d`` of the last pivot d.  Pivots are the first non-zero entry in input
+row order, which makes every result deterministic.
 
 Matrices are immutable values: all operations return fresh matrices, so
 instances are safe to share between threads.
@@ -12,10 +15,10 @@ instances are safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import NonInteger, NoSolution, NonUnique, Singular
+from .errors import NonInteger, NoSolution, NonUnique
 
 QQ = Fraction
 
@@ -112,14 +115,6 @@ class ExactMatrix:
         return ExactMatrix([[a + b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self._entries, other._entries)])
 
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self._entries, other._entries)])
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-x for x in r] for r in self._entries])
-
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows:
@@ -166,70 +161,61 @@ class ExactMatrix:
         return [[float(x) for x in r] for r in self._entries]
 
 
-def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    """Row-scaled integer copy of m (each row times the lcm of denominators).
+def _integer_rows(grid: Iterable[Sequence]) -> list[list[int]]:
+    """Row-scaled integer copy of a grid of rationals (each row times the lcm
+    of its denominators).
 
-    Row scaling by nonzero rationals preserves rank and row echelon pivots.
+    Row scaling by nonzero rationals preserves rank, the reduced row echelon
+    form and the solutions of a linear system.
     """
     out = []
-    for r in m._entries:
-        lcm = 1
-        for x in r:
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x * lcm) for x in r])
+    for r in grid:
+        scale = lcm(*(x.denominator for x in r))
+        out.append([x.numerator * (scale // x.denominator) for x in r])
     return out
 
 
-def rank(m: ExactMatrix) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination."""
-    a = _integer_rows(m)
-    nrows, ncols = len(a), (len(a[0]) if a else 0)
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
+def _echelon(rows: list[list[int]], width: int | None = None
+             ) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix: returns
+    d times its reduced row echelon form, the pivot columns and d, the last
+    pivot (1 if none).
+
+    Pivots are sought in the first `width` columns (default: all).  Each
+    step is Bareiss's: every row i but the pivot row p becomes
+    (pv a[i] - a[i][c] a[p]) // d_prev, an exact division, as every entry
+    is a minor of the input.  The pivot of column c is the first non-pivot
+    row, in input order, that is non-zero there, and rows are not swapped:
+    the output lists the pivot rows in pivot order, then the others in input
+    order, each of those d times its input row minus the pivot rows before
+    it in the input that it depends on.
+    """
+    a = list(rows)
+    if width is None:
+        width = len(a[0]) if a else 0
+    rest = list(range(len(a)))  # the rows that are not pivot rows
+    prows, pivots, d = [], [], 1
+    for c in range(width):
+        p = next((i for i in rest if a[i][c]), None)
+        if p is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        ar = a[r]
-        for i in range(r + 1, nrows):
-            ai = a[i]
+        ap, pv = a[p], a[p][c]
+        for i, ai in enumerate(a):
             f = ai[c]
-            for j in range(c, ncols):
-                ai[j] = (ai[j] * pv - f * ar[j]) // prev
-        prev = pv
-        r += 1
-    return r
-
-
-def _rref(grid: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (grid, pivot columns)."""
-    nrows = len(grid)
-    ncols = len(grid[0]) if grid else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if grid[i][c] != 0), None)
-        if piv is None:
-            continue
-        grid[r], grid[piv] = grid[piv], grid[r]
-        pv = grid[r][c]
-        if pv != 1:
-            grid[r] = [x / pv for x in grid[r]]
-        for i in range(nrows):
-            if i != r and grid[i][c] != 0:
-                f = grid[i][c]
-                grid[i] = [a - f * b for a, b in zip(grid[i], grid[r])]
+            if i != p and f:
+                a[i] = [(pv * x - f * y) // d for x, y in zip(ai, ap)]
+            elif i != p and pv != d:
+                a[i] = [pv * x // d for x in ai]
+        rest.remove(p)
+        prows.append(p)
         pivots.append(c)
-        r += 1
-    return grid, pivots
+        d = pv
+    return [a[i] for i in prows + rest], pivots, d
+
+
+def rank(m: ExactMatrix) -> int:
+    """Exact rank: the pivot count of the fraction-free elimination."""
+    return len(_echelon(_integer_rows(m._entries))[1])
 
 
 def solve(a: ExactMatrix, b: Sequence) -> Vector:
@@ -237,48 +223,23 @@ def solve(a: ExactMatrix, b: Sequence) -> Vector:
 
     Raises NoSolution when inconsistent and NonUnique when underdetermined.
     """
-    bv = [_to_frac(x) for x in b]
-    if len(bv) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    grid = [list(r) + [bv[i]] for i, r in enumerate(a._entries)]
-    grid, pivots = _rref(grid)
-    n = a.cols
-    if n in pivots:
-        raise NoSolution("inconsistent system")
-    if len(pivots) < n:
-        raise NonUnique("underdetermined system")
-    x = [QQ(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = grid[r][n]
-    return tuple(x)
+    return solve_matrix(a, ExactMatrix([[x] for x in b])).col(0)
 
 
 def solve_matrix(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact solution X of a X = b (multiple right-hand sides at once)."""
+    """Exact solution X of a X = b (multiple right-hand sides at once), from
+    one elimination of [a | b]."""
     if b.rows != a.rows:
         raise ValueError("shape mismatch")
-    n, k = a.cols, b.cols
-    grid = [list(r) + list(b._entries[i]) for i, r in enumerate(a._entries)]
-    grid, pivots = _rref(grid)
-    if any(c >= n for c in pivots):
+    rows, pivots, d = _echelon(_integer_rows(
+        ra + rb for ra, rb in zip(a._entries, b._entries)))
+    n = a.cols
+    if pivots and pivots[-1] >= n:
         raise NoSolution("inconsistent system")
     if len(pivots) < n:
         raise NonUnique("underdetermined system")
-    out = [[grid[r][n + j] for j in range(k)] for r in range(n)]
-    return ExactMatrix(out)
-
-
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse; raises Singular when rank < dimension."""
-    if not m.is_square():
-        raise Singular("matrix is not square")
-    n = m.rows
-    grid = [list(r) + [QQ(1) if i == j else QQ(0) for j in range(n)]
-            for i, r in enumerate(m._entries)]
-    grid, pivots = _rref(grid)
-    if len(pivots) < n or pivots != list(range(n)):
-        raise Singular("matrix is singular")
-    return ExactMatrix([row[n:] for row in grid])
+    return ExactMatrix([[Fraction(x, d) for x in row[n:]]
+                        for row in rows[:n]])
 
 
 def kernel_basis(m: ExactMatrix) -> list[Vector]:
@@ -287,17 +248,13 @@ def kernel_basis(m: ExactMatrix) -> list[Vector]:
     Deterministic: free variables are taken in increasing column order and the
     standard back-substituted basis vector is emitted for each.
     """
-    grid = [list(r) for r in m._entries]
-    grid, pivots = _rref(grid)
-    n = m.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    rows, pivots, d = _echelon(_integer_rows(m._entries))
     basis = []
-    for f in free:
-        v = [QQ(0)] * n
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        v = [QQ(0)] * m.cols
         v[f] = QQ(1)
-        for r, c in enumerate(pivots):
-            v[c] = -grid[r][f]
+        for row, c in zip(rows, pivots):
+            v[c] = Fraction(-row[f], d)
         basis.append(tuple(v))
     return basis
 
@@ -347,12 +304,6 @@ class IntPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPolynomial(out)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return IntPolynomial([x + y for x, y in zip(a, b)])
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])

@@ -1,7 +1,7 @@
 """Independent brute-force verifiers and statistical harnesses.
 
 Everything here cross-checks the algebraic modules by a different route:
-walk counting by dynamic programming over adjacency lists (no matrices),
+walk counting by integer matrix powers (no neighbour lists),
 isomorphism by backtracking search, rank by counting non-perpendicular
 eigenspace projections, and reconstruction by exhaustive enumeration of
 small graphs.
@@ -94,16 +94,22 @@ class WalkCountTable:
 
 
 def count_walks(g: Graph, s: VertexSet, max_k: int) -> WalkCountTable:
-    """DP by neighbor summation over raw adjacency lists; no matrices."""
+    """Row sums over S of the integer matrix powers A^0 .. A^max_k; reads
+    the 0/1 grid g.adj, so it shares no code with the neighbour-list
+    recurrence of walk_matrix."""
     if s.is_empty():
         raise EmptySet("count_walks needs a non-empty vertex set")
-    cur = list(s.characteristic)
-    table = [cur]
-    for _ in range(max_k):
-        cur = [sum(cur[u] for u in g.neighbors[v]) for v in range(g.n)]
-        table.append(cur)
+    n, a = g.n, g.adj
+    cols = [u - 1 for u in s.members]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    table = []
+    for k in range(max_k + 1):
+        if k:
+            power = [[sum(row[t] * a[t][j] for t in range(n))
+                      for j in range(n)] for row in power]
+        table.append([sum(row[u] for u in cols) for row in power])
     per_vertex = tuple(tuple(table[k][v] for k in range(max_k + 1))
-                       for v in range(g.n))
+                       for v in range(n))
     return WalkCountTable(per_vertex, max_k)
 
 

@@ -19,7 +19,8 @@ A-invariant, so A acts on it as K S K^T.
 This is the constructive form of "W determines A at rank n and n-1 and
 allows at most two graphs at rank n-2".  All arithmetic is exact and every
 candidate regenerates W exactly before it is returned.  r < n-2 is
-undetermined (the theory provides counterexamples).
+undetermined (the theory provides counterexamples); so is a W that no graph
+has (not_a_walk_matrix) and one whose candidates all fail.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import (CandidateNotGraph, MissingEdgeCount,
-                     NegativeDiscriminant, WalkmatError)
-from .exact import QQ, ExactMatrix, kernel_basis, rank
+                     NegativeDiscriminant, NotAWalkMatrix, WalkmatError)
+from .exact import QQ, ExactMatrix, kernel_basis
 from .graphs import Graph, edge_count, emit_graph6
-from .spectral import _kernel_and_restriction, _summary_at_rank
+from .spectral import _Analysis, _analyse, _restriction, _summary
 from .walk import WalkMatrix, walk_matrix
 
 RANK_TOO_LOW = "rank_too_low"
+NOT_A_WALK_MATRIX = "not_a_walk_matrix"
 NO_VALID_CANDIDATE = "no_valid_candidate"
 MISSING_EDGE_COUNT = "missing_edge_count"
 
@@ -158,14 +160,15 @@ def _kernel_parts(kt: ExactMatrix, a_w: ExactMatrix,
     return [s0 + t * step for t in ts]
 
 
-def _reconstruct(w: WalkMatrix, r: int,
+def _reconstruct(analysis: _Analysis,
                  m: int | None = None) -> ReconstructionResult:
-    """Every graph A = A_W + K S K^T that regenerates W, at rank r >= n-2;
-    m is the edge count, given exactly when r = n-2.
+    """Every graph A = A_W + K S K^T that regenerates the analysed W, at
+    rank r >= n-2; m is the edge count, given exactly when r = n-2.
 
-    Raises a WalkmatError when W is visibly not a walk matrix.
+    Raises NotAWalkMatrix when W is visibly not a walk matrix.
     """
-    summary = _summary_at_rank(w, r)
+    w = analysis.w
+    summary = _summary(analysis)
     if m is not None:
         # the two non-main eigenvalues are real only if d >= 0
         a2, a1 = ((0, 0) + summary.main_poly.coeffs)[-3:-1]
@@ -173,9 +176,9 @@ def _reconstruct(w: WalkMatrix, r: int,
         if d < 0:
             raise NegativeDiscriminant(
                 f"discriminant {d} < 0; not a genuine walk matrix")
-    k, a_w = _kernel_and_restriction(w, r, summary)
-    if k:
-        kt = ExactMatrix(k)
+    a_w = _restriction(analysis, summary)
+    if analysis.kernel:
+        kt = ExactMatrix(analysis.kernel)
         candidates = [a_w + kt.transpose() * s * kt
                       for s in _kernel_parts(kt, a_w, m)]
     else:
@@ -195,9 +198,10 @@ def _reconstruct(w: WalkMatrix, r: int,
 
 
 def _unique_graph(w: WalkMatrix, r: int, wrong_rank: str) -> Graph:
-    if rank(w.w) != r:
+    analysis = _analyse(w)
+    if analysis.r != r:
         raise ValueError(wrong_rank)
-    res = _reconstruct(w, r)
+    res = _reconstruct(analysis)
     if res.status != "unique":
         raise CandidateNotGraph("no candidate regenerates W")
     return res.graphs[0]
@@ -220,10 +224,10 @@ def rank_n2(w: WalkMatrix, m: int | None = None) -> ReconstructionResult:
     S = V, otherwise MissingEdgeCount is raised.
     """
     m = _edge_count(w, m)
-    r = rank(w.w)
-    if r != w.n - 2:
+    analysis = _analyse(w)
+    if analysis.r != w.n - 2:
         raise ValueError("rank_n2 needs rank exactly n-2")
-    return _reconstruct(w, r, m)
+    return _reconstruct(analysis, m)
 
 
 def _edge_count(w: WalkMatrix, m: int | None) -> int:
@@ -242,21 +246,24 @@ def derive_edge_count(w: WalkMatrix) -> int | None:
         return None
     total = sum(int(x) for x in w.w.col(1)) if w.n > 1 else 0
     if total % 2 != 0:
-        raise CandidateNotGraph("degree sum is odd; not a walk matrix")
+        raise NotAWalkMatrix("degree sum is odd; not a walk matrix")
     return total // 2
 
 
 def reconstruct(inp: ReconstructionInput) -> ReconstructionResult:
     """Dispatch on rank; every returned graph regenerates W exactly."""
     w = inp.w
-    r = rank(w.w)
+    analysis = _analyse(w)
+    r = analysis.r
     if r < w.n - 2:
         return ReconstructionResult.undetermined(RANK_TOO_LOW)
     try:
         m = _edge_count(w, inp.edge_count_hint) if r == w.n - 2 else None
-        return _reconstruct(w, r, m)
+        return _reconstruct(analysis, m)
     except MissingEdgeCount:
         return ReconstructionResult.undetermined(MISSING_EDGE_COUNT)
+    except NotAWalkMatrix:
+        return ReconstructionResult.undetermined(NOT_A_WALK_MATRIX)
     except WalkmatError:
         return ReconstructionResult.undetermined(NO_VALID_CANDIDATE)
 

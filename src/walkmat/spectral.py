@@ -1,11 +1,12 @@
 """Spectral decomposition recovered from a walk matrix.
 
-Two exact branches, depending on r = rank(W):
+One fraction-free elimination of [W | I_n] (`_analyse`) gives r = rank(W),
+an integer basis K of ker W^T and, by r:
 
-* r < n: the column A^r e is a unique rational combination of the first r
+* r < n: the column A^r e as a unique rational combination of the first r
   columns; negating those coefficients gives the monic main polynomial.
-* r = n: the characteristic polynomial is recovered from the Hankel walk
-  numbers by solving (W_[0,n-2]^T W_[0,n-2]) c^T = -w^T with the x^{n-1}
+* r = n: the characteristic polynomial follows from the 2n-1 walk numbers
+  by solving (W_[0,n-2]^T W_[0,n-2]) c^T = -w^T with the x^{n-1}
   coefficient pinned to 0 (trace of an adjacency matrix).
 
 The exact layer never represents irrational eigenvalues: it carries the main
@@ -22,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, NonInteger, RealizationFailed, RootsNotSeparated
-from .exact import (ExactMatrix, IntPolynomial, kernel_basis, rank, solve,
+from .errors import (EmptySet, NotAWalkMatrix, RealizationFailed,
+                     RootsNotSeparated)
+from .exact import (ExactMatrix, IntPolynomial, _echelon, rank, solve,
                     solve_matrix)
 from .graphs import Graph, VertexSet
 from .walk import WalkMatrix, walk_matrix, walk_slice
@@ -63,38 +65,73 @@ class Restriction:
 
 # --- exact core, from the walk matrix alone ---
 
-def _char_from_hankel(w: WalkMatrix) -> IntPolynomial:
-    """Full-rank branch: characteristic polynomial from walk numbers."""
+@dataclass(frozen=True)
+class _Analysis:
+    """Rank, main polynomial and left kernel of W, from `_analyse`."""
+
+    w: WalkMatrix
+    r: int
+    # None at r = n, and when W_[0,r-1] is dependent or the polynomial is
+    # not integral: then W is not a walk matrix
+    main_poly: IntPolynomial | None
+    kernel: tuple[tuple[int, ...], ...]  # primitive integer basis of ker W^T
+
+
+def _analyse(w: WalkMatrix) -> _Analysis:
+    """One fraction-free elimination of [W | I_n], pivoting in W's columns.
+
+    The W-part ends as d times the reduced row echelon form of W.  Each row
+    past r is zero there, and its I-part is a vanishing combination of rows
+    of W: d at its own vertex v minus the pivot rows before v that row v
+    depends on.  These n - r rows are a basis of ker W^T.
+    """
     n = w.n
-    h = w.w.transpose() * w.w
-    # walk numbers n_n .. n_{2n-2} sit on the trailing anti-diagonals of H
-    w_vec = [h[n - 1, k + 1] for k in range(n - 1)]
-    gram = h.take_rows(range(n - 1)).take_cols(range(n - 1))
-    c = solve(gram, [-x for x in w_vec])
+    rows = [[x.numerator for x in w.w.row(v)] + [int(u == v) for u in range(n)]
+            for v in range(n)]
+    rows, pivots, d = _echelon(rows, n)
+    r = len(pivots)
+    # a kernel row has d at its own vertex: dividing by the gcd, with the
+    # sign of d, leaves the primitive vector that is positive there
+    kernel = tuple(tuple(x // (math.gcd(*row) * (1 if d > 0 else -1))
+                         for x in row[n:]) for row in rows[r:])
+    main_poly = None
+    # column r of the reduced W holds A^r e over e, Ae, ..., A^{r-1} e
+    if (r < n and pivots == list(range(r))
+            and all(row[r] % d == 0 for row in rows[:r])):
+        main_poly = IntPolynomial([-row[r] // d for row in rows[:r]] + [1])
+    return _Analysis(w, r, main_poly, kernel)
+
+
+def _char_from_hankel(w: WalkMatrix) -> IntPolynomial:
+    """Full-rank branch: characteristic polynomial from the walk numbers
+    N_k = e^T A^k e = (A^i e).(A^j e), i + j = k."""
+    n = w.n
+    cols = [[x.numerator for x in w.w.col(k)] for k in range(n)]
+    walks = [sum(x * y for x, y in zip(cols[k // 2], cols[k - k // 2]))
+             for k in range(2 * n - 1)]
+    hankel = ExactMatrix([walks[j:j + n - 1] for j in range(n - 1)])
+    c = solve(hankel, [-walks[n + j] for j in range(n - 1)])
     if any(x.denominator != 1 for x in c):
-        raise NonInteger("recovered polynomial is not integral; "
-                         "input is not a genuine walk matrix")
-    coeffs = [int(x) for x in c] + [0, 1]  # c_{n-1} = trace(A) = 0
-    return IntPolynomial(coeffs)
+        raise NotAWalkMatrix("recovered polynomial is not integral; "
+                             "input is not a genuine walk matrix")
+    return IntPolynomial([int(x) for x in c] + [0, 1])
+
+
+def _summary(a: _Analysis) -> SpectralSummary:
+    """The spectral summary of an analysed W, or NotAWalkMatrix."""
+    if a.r == a.w.n:
+        char = _char_from_hankel(a.w)
+        return SpectralSummary(a.r, char, True, char)
+    if a.main_poly is None:
+        raise NotAWalkMatrix("leading columns are dependent or the main "
+                             "polynomial is not integral; input is not a "
+                             "genuine walk matrix")
+    return SpectralSummary(a.r, a.main_poly, False, None)
 
 
 def summary_from_walk(w: WalkMatrix) -> SpectralSummary:
     """Spectral summary computed from W alone (no graph needed)."""
-    return _summary_at_rank(w, rank(w.w))
-
-
-def _summary_at_rank(w: WalkMatrix, r: int) -> SpectralSummary:
-    """summary_from_walk for a caller that already knows r = rank(W)."""
-    if r == w.n:
-        char = _char_from_hankel(w)
-        return SpectralSummary(r, char, True, char)
-    w0 = w.w.take_cols(range(r))
-    f = solve(w0, w.w.col(r))
-    if any(x.denominator != 1 for x in f):
-        raise NonInteger("main polynomial is not integral; "
-                         "input is not a genuine walk matrix")
-    coeffs = [-int(x) for x in f] + [1]
-    return SpectralSummary(r, IntPolynomial(coeffs), False, None)
+    return _summary(_analyse(w))
 
 
 def spectral_summary(g: Graph, s: VertexSet) -> SpectralSummary:
@@ -116,40 +153,31 @@ def main_poly_via_dependence(g: Graph, s: VertexSet) -> IntPolynomial:
     return IntPolynomial([-int(x) for x in f] + [1])
 
 
-def _integer_kernel(w: WalkMatrix) -> list[list[int]]:
-    """Basis of ker W^T, each vector scaled to integers."""
-    out = []
-    for v in kernel_basis(w.w.transpose()):
-        scale = math.lcm(*(x.denominator for x in v))
-        out.append([int(x * scale) for x in v])
-    return out
-
-
-def _kernel_and_restriction(w: WalkMatrix, r: int,
-                            summary: SpectralSummary | None = None
-                            ) -> tuple[list[list[int]], ExactMatrix]:
-    """(K, A_W): an integer basis K of ker W^T and A_W = W_[1,r] W^+.
+def _restriction(a: _Analysis,
+                 summary: SpectralSummary | None = None) -> ExactMatrix:
+    """A_W = W_[1,r] W^+ (W^+ the pseudo-inverse of W_[0,r-1]).
 
     A_W maps W_[0,r-1] to W_[1,r] and K to 0, so X = A_W^T is the unique
     solution of [W_[0,r-1] | K]^T X = [W_[1,r]^T ; 0].  At r = n, K is
-    empty, A^n e comes from the characteristic recurrence and A_W = A.
+    empty, A^n e comes from the characteristic recurrence and A_W = A;
+    summary is the analysis's, when the caller already has it.
     """
+    w, r, k = a.w, a.r, a.kernel
     n = w.n
-    upper = [w.w.col(k) for k in range(1, min(r + 1, n))]
+    upper = [w.w.col(j) for j in range(1, min(r + 1, n))]
     if r == n:
         # A^n e = -sum_i c_i A^i e, c the characteristic polynomial
-        cs = (summary or summary_from_walk(w)).char_poly.coeffs
+        cs = (summary or _summary(a)).char_poly.coeffs
         upper.append([-sum(c * x for c, x in zip(cs, w.w.row(v)))
                       for v in range(n)])
-    k = _integer_kernel(w) if r < n else []
-    lhs = ExactMatrix([w.w.col(j) for j in range(r)] + k)
+    lhs = ExactMatrix([w.w.col(j) for j in range(r)] + list(k))
     rhs = ExactMatrix(upper + [[0] * n] * len(k))
-    return k, solve_matrix(lhs, rhs).transpose()
+    return solve_matrix(lhs, rhs).transpose()
 
 
 def restriction_from_walk(w: WalkMatrix) -> Restriction:
     """A_W = W_[1,r] W^+, exact (W^+ the pseudo-inverse of W_[0,r-1])."""
-    return Restriction(_kernel_and_restriction(w, rank(w.w))[1])
+    return Restriction(_restriction(_analyse(w)))
 
 
 def restriction(g: Graph, s: VertexSet) -> Restriction:
@@ -160,7 +188,7 @@ def restriction(g: Graph, s: VertexSet) -> Restriction:
 
 def kernel_projector_from_walk(w: WalkMatrix) -> ExactMatrix:
     """K (K^T K)^{-1} K^T: exact orthogonal projector onto ker(W^T)."""
-    k = _integer_kernel(w)
+    k = _analyse(w).kernel
     if not k:
         return ExactMatrix.zeros(w.n, w.n)
     kt = ExactMatrix(k)

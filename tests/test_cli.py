@@ -86,6 +86,11 @@ def test_reconstruct_undetermined(tmp_path):
     code, out = run(["reconstruct", str(p)])
     assert code == 4
     assert json.loads(out)["reason"] == "rank_too_low"
+    # S = V at rank n-2 with an odd degree sum: no graph has this W
+    p.write_text("1 1 1\n1 1 1\n1 1 1\n")
+    code, out = run(["reconstruct", str(p)])
+    assert code == 4
+    assert json.loads(out)["reason"] == "not_a_walk_matrix"
 
 
 def test_canon_reference_lex_form(paw_al):

@@ -1,4 +1,5 @@
-"""Exact linear algebra kernels against hand-checked reference values."""
+"""Exact linear algebra kernels against hand-checked reference values and
+plain-Fraction reference eliminations."""
 
 from fractions import Fraction as F
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refdata
-from walkmat import (ExactMatrix, IntPolynomial, char_poly, inverse,
-                     kernel_basis, poly_divides, rank, solve)
-from walkmat.errors import NonInteger, NoSolution, NonUnique, Singular
+from walkmat import (ExactMatrix, IntPolynomial, char_poly, kernel_basis,
+                     poly_divides, rank, solve)
+from walkmat.errors import NonInteger, NoSolution, NonUnique
+from walkmat.exact import solve_matrix
 
 
 def det_oracle(m: ExactMatrix) -> F:
@@ -31,6 +33,85 @@ def det_oracle(m: ExactMatrix) -> F:
             if f:
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return det
+
+
+def rref_oracle(grid) -> tuple[list[list[F]], list[int]]:
+    """Plain fraction Gauss-Jordan elimination with row swaps: (reduced row
+    echelon form, pivot columns).  Shares no code with the fraction-free
+    integer elimination in walkmat.exact."""
+    a = [[F(x) for x in row] for row in grid]
+    nrows, ncols = len(a), (len(a[0]) if a else 0)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def solve_oracle(grid, rhs_rows):
+    """X with grid X = rhs, or the error a solver must raise."""
+    n = len(grid[0])
+    red, pivots = rref_oracle([list(r) + list(b)
+                               for r, b in zip(grid, rhs_rows)])
+    if any(c >= n for c in pivots):
+        return NoSolution
+    if len(pivots) < n:
+        return NonUnique
+    return [row[n:] for row in red[:n]]
+
+
+def kernel_oracle(grid) -> list[tuple[F, ...]]:
+    red, pivots = rref_oracle(grid)
+    n = len(grid[0])
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [F(0)] * n
+        v[f] = F(1)
+        for row, c in zip(red, pivots):
+            v[c] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+@st.composite
+def rational_matrix(draw, max_rows=5, max_cols=5):
+    """Rectangular rational matrices, often rank-deficient: some rows are
+    integer combinations of the others, and the rows come shuffled."""
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    independent = draw(st.integers(1, rows))
+    base = [[draw(value) for _ in range(cols)] for _ in range(independent)]
+    grid = list(base)
+    for _ in range(rows - independent):
+        coeffs = [draw(st.integers(-2, 2)) for _ in base]
+        grid.append([sum(c * b[j] for c, b in zip(coeffs, base))
+                     for j in range(cols)])
+    return draw(st.permutations(grid))
+
+
+@st.composite
+def linear_system(draw):
+    """(A, B) with k right-hand sides; B = A X for a drawn X (consistent)
+    or drawn on its own (inconsistent whenever A has dependent rows)."""
+    grid = draw(rational_matrix())
+    k = draw(st.integers(1, 3))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if draw(st.booleans()):
+        x = [[draw(value) for _ in range(k)] for _ in grid[0]]
+        rhs = [[sum(a * x[t][j] for t, a in enumerate(row))
+                for j in range(k)] for row in grid]
+    else:
+        rhs = [[draw(value) for _ in range(k)] for _ in grid]
+    return grid, rhs
 
 
 small_matrix = st.integers(2, 5).flatmap(
@@ -82,23 +163,6 @@ def test_solve_underdetermined():
     a = ExactMatrix([[1, 1], [1, 1]])
     with pytest.raises(NonUnique):
         solve(a, [1, 1])
-
-
-def test_inverse_identity_and_diagonal():
-    assert inverse(ExactMatrix.identity(3)) == ExactMatrix.identity(3)
-    assert inverse(ExactMatrix([[2, 0], [0, 4]])) == \
-        ExactMatrix([[F(1, 2), 0], [0, F(1, 4)]])
-
-
-def test_inverse_gram_paw():
-    w1 = ExactMatrix(refdata.PAW_W1).take_cols([0, 1, 2])
-    gram = w1.transpose() * w1
-    assert gram * inverse(gram) == ExactMatrix.identity(3)
-
-
-def test_inverse_singular():
-    with pytest.raises(Singular):
-        inverse(ExactMatrix([[1, 2], [2, 4]]))
 
 
 def test_kernel_identity():
@@ -172,19 +236,6 @@ def test_poly_divides():
     assert not poly_divides(IntPolynomial([0, 1]), IntPolynomial([-1, 0, 1]))
 
 
-@given(small_matrix)
-@settings(max_examples=100, deadline=None)
-def test_inverse_product_is_identity(grid):
-    m = ExactMatrix(grid)
-    try:
-        mi = inverse(m)
-    except Singular:
-        assert rank(m) < m.rows
-        return
-    assert m * mi == ExactMatrix.identity(m.rows)
-    assert mi * m == ExactMatrix.identity(m.rows)
-
-
 @given(small_matrix, st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_rank_invariant_under_row_permutation(grid, rnd):
@@ -193,9 +244,37 @@ def test_rank_invariant_under_row_permutation(grid, rnd):
     rnd.shuffle(order)
     assert rank(m) == rank(m.take_rows(order))
     # and equals the pivot count of the plain-fraction echelon route
-    from walkmat.exact import _rref
-    _, pivots = _rref(m.row_list())
+    _, pivots = rref_oracle(grid)
     assert rank(m) == len(pivots)
+
+
+@given(rational_matrix())
+@settings(max_examples=200, deadline=None)
+def test_rank_and_kernel_match_the_fraction_reference(grid):
+    m = ExactMatrix(grid)
+    assert rank(m) == len(rref_oracle(grid)[1])
+    assert kernel_basis(m) == kernel_oracle(grid)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (NoSolution, NonUnique) as exc:
+        return type(exc)
+
+
+@given(linear_system())
+@settings(max_examples=200, deadline=None)
+def test_solve_and_solve_matrix_match_the_fraction_reference(system):
+    grid, rhs = system
+    a = ExactMatrix(grid)
+    expected = solve_oracle(grid, rhs)
+    got = _outcome(lambda: solve_matrix(a, ExactMatrix(rhs)).row_list())
+    assert got == expected
+    first = [row[0] for row in rhs]
+    expected = solve_oracle(grid, [[x] for x in first])
+    got = _outcome(lambda: [[x] for x in solve(a, first)])
+    assert got == expected
 
 
 @given(small_matrix)

@@ -41,6 +41,21 @@ def test_count_walks_matches_walk_matrix():
                    for v in range(n) for k in range(n))
 
 
+def test_count_walks_reads_the_adjacency_grid_only():
+    # the oracle must not share the walk module's neighbour lists: with
+    # those emptied it still counts the walks of the real graph
+    from walkmat import Graph
+    g = random_graph(7, SplitMix64(5))
+    blind = Graph(g.n, g.adj)
+    blind.__dict__["neighbors"] = ((),) * g.n
+    s = VertexSet.full(g.n)
+    w = walk_matrix(g, s)
+    table = count_walks(blind, s, g.n - 1)
+    assert all(w.w[v, k] == table.counts[v][k]
+               for v in range(g.n) for k in range(g.n))
+    assert walk_matrix(blind, s).w != w.w
+
+
 def test_brute_force_mates8(mates8):
     g1, g2 = mates8
     perm = brute_force_isomorphic(g1, g2)

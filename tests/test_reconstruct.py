@@ -7,7 +7,8 @@ from walkmat import (ExactMatrix, Graph, SplitMix64, VertexSet, WalkMatrix,
                      from_edge_list, random_graph, rank, rank_n, rank_n1,
                      rank_n2, reconstruct, verify_candidate, walk_matrix,
                      ReconstructionInput)
-from walkmat.errors import MissingEdgeCount, NegativeDiscriminant
+from walkmat.errors import (MissingEdgeCount, NegativeDiscriminant,
+                            NotAWalkMatrix)
 from walkmat.oracle import random_nonempty_set
 from walkmat.reconstruct import derive_edge_count
 from walkmat.spectral import summary_from_walk
@@ -144,6 +145,23 @@ def test_rank_n2_honours_the_given_edge_count():
     assert res.status == "unique" and res.graphs[0].adj == empty3.adj
 
 
+def test_not_a_walk_matrix_reason():
+    # S = V at rank n-2 with an odd degree sum (column 1 sums to 3), and a
+    # rank n-1 matrix whose first two columns coincide: no graph has either
+    odd = WalkMatrix.from_matrix(ExactMatrix([[1, 1, 1]] * 3))
+    dependent = WalkMatrix.from_matrix(
+        ExactMatrix([[1, 1, 0], [1, 1, 1], [1, 1, 2]]))
+    assert rank(odd.w) == 1 and rank(dependent.w) == 2
+    for w in (odd, dependent):
+        res = reconstruct(ReconstructionInput(w))
+        assert res.status == "undetermined"
+        assert res.reason == "not_a_walk_matrix"
+    with pytest.raises(NotAWalkMatrix):
+        derive_edge_count(odd)
+    with pytest.raises(NotAWalkMatrix):
+        summary_from_walk(dependent)
+
+
 def test_verify_candidate(mates8):
     g1, g2 = mates8
     w = WalkMatrix.from_matrix(ExactMatrix(refdata.MATES8_W))
@@ -213,6 +231,68 @@ def _with_twin_pair(seed, m, true_twin=False):
     if true_twin:
         adj[v][m + 1] = adj[m + 1][v] = 1
     return Graph(n, tuple(tuple(r) for r in adj))
+
+
+def _with_false_twin(seed, m):
+    """Random graph on m vertices plus a false twin of one of them: the twin
+    rows coincide in the walk matrix, forcing rank <= n-1."""
+    rng = SplitMix64(seed)
+    g = random_graph(m, rng)
+    u = rng.below(m)
+    adj = [list(row) + [g.adj[u][j]] for j, row in enumerate(g.adj)]
+    adj.append([g.adj[u][j] for j in range(m)] + [0])
+    return Graph(m + 1, tuple(tuple(r) for r in adj))
+
+
+def test_reconstruct_at_n40_in_every_rank_class():
+    # n = 40, S = V: a G(40, 1/2) graph at rank n, then one false twin
+    # (rank n-1) and two false twins (rank n-2) added to random graphs
+    makers = ((0, lambda seed: random_graph(40, SplitMix64(seed))),
+              (1, lambda seed: _with_false_twin(seed, 39)),
+              (2, lambda seed: _with_twin_pair(seed, 38)))
+    for offset, make in makers:
+        for seed in range(50):
+            g = make(seed)
+            if g is None:
+                continue
+            w = walk_matrix(g, VertexSet.full(40))
+            if rank(w.w) == 40 - offset:
+                break
+        else:
+            raise AssertionError(f"no rank n-{offset} instance found")
+        res = reconstruct(ReconstructionInput(w))
+        assert res.status == "unique" and res.graphs[0].adj == g.adj
+
+
+def test_one_analysis_per_walk_matrix(monkeypatch, paw, paw_sets):
+    # each call eliminates [W | I] once; the summary adds the Hankel solve
+    # at rank n, the restriction the solve for A_W, and reconstruct the
+    # Hankel solve (rank n) or the zero-diagonal system (below) and A_W
+    import walkmat.exact
+    import walkmat.spectral
+    from walkmat.spectral import restriction_from_walk
+    calls = []
+    echelon = walkmat.exact._echelon
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return echelon(*args, **kwargs)
+
+    full = walk_matrix(paw, paw_sets[3])
+    n1 = walk_matrix(paw, paw_sets["V"])
+    n2 = WalkMatrix.from_matrix(ExactMatrix(refdata.MATES8_W))
+    monkeypatch.setattr(walkmat.exact, "_echelon", counted)
+    monkeypatch.setattr(walkmat.spectral, "_echelon", counted)
+
+    def count(fn, w):
+        calls.clear()
+        fn(w)
+        return len(calls)
+
+    for w, offset in ((full, 0), (n1, 1), (n2, 2)):
+        assert count(summary_from_walk, w) == (2 if offset == 0 else 1)
+        assert count(restriction_from_walk, w) == (3 if offset == 0 else 2)
+        assert count(lambda w: reconstruct(ReconstructionInput(w)), w) == 3
 
 
 def test_rank_n2_twin_stress_up_to_n16():

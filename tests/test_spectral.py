@@ -196,6 +196,21 @@ def test_kernel_projector_properties(seed):
         assert p.mul_vector(v) == v
 
 
+@given(seeds)
+@settings(max_examples=50, deadline=None)
+def test_analysis_kernel_is_the_null_space_basis_of_w_transpose(seed):
+    # the I-part of the [W | I] elimination must give, vector for vector,
+    # the standard null-space basis of W^T scaled to primitive integers:
+    # reconstruction orders the two graphs of a pair along this basis
+    from math import lcm
+    from walkmat.spectral import _analyse
+    g, s = sample_instance(seed)
+    w = walk_matrix(g, s)
+    expected = [tuple(int(x * lcm(*(y.denominator for y in v))) for x in v)
+                for v in kernel_basis(w.w.transpose())]
+    assert list(_analyse(w).kernel) == expected
+
+
 def test_full_rank_branch_at_n16():
     # walk entries reach ~15^15 here; the Hankel route must stay exact
     rng = SplitMix64(777)
