@@ -25,8 +25,8 @@ from walkmat.walk import WalkMatrix, from_text, walk_matrix
 def row_candidates(w: WalkMatrix, i: int) -> list[tuple[int, ...]]:
     """All 0/1 rows with zero diagonal satisfying row . W_[0,n-2] = shifted row."""
     n = w.n
-    cols = [[int(x) for x in w.w.col(k)] for k in range(n - 1)]
-    target = [int(w.w[i, k]) for k in range(1, n)]
+    cols = [w.w.col(k) for k in range(n - 1)]
+    target = [w.w[i, k] for k in range(1, n)]
     out = []
     for mask in range(1 << n):
         if (mask >> i) & 1:

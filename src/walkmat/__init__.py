@@ -5,9 +5,9 @@ vertex subset, recover the spectral decomposition (rank, main polynomial,
 main eigenvalues/eigenvectors) from W alone, reconstruct the adjacency
 matrix whenever rank(W) >= n-2, and canonicalize walk matrices for
 walk-equivalence and isomorphism certificates.  All core algebra is exact:
-eliminations are fraction-free over integers and rationals appear only in
-their answers; floating point appears only in the numeric realization, a
-clearly marked derived view.
+integer data stay Python ints, eliminations are fraction-free over integers
+and rationals appear only in answers that are not integers; floating point
+appears only in the numeric realization, a clearly marked derived view.
 """
 
 from .canonical import (IsoCertificate, LexForm, certify_isomorphism,

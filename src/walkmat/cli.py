@@ -100,16 +100,8 @@ def _print_matrix(m: ExactMatrix, out) -> None:
 
 
 def _matrix_json(m: ExactMatrix) -> list[list]:
-    out = []
-    for i in range(m.rows):
-        row = []
-        for x in m.row(i):
-            if x.denominator == 1:
-                row.append(_json_int(x.numerator))
-            else:
-                row.append(str(x))
-        out.append(row)
-    return out
+    return [[_json_int(x) if isinstance(x, int) else str(x) for x in m.row(i)]
+            for i in range(m.rows)]
 
 
 def _emit(obj: dict, fmt: str, out, matrix: ExactMatrix | None = None) -> None:

@@ -1,12 +1,15 @@
 """Exact rational linear algebra.
 
-Matrices hold arbitrary-precision rationals (``fractions.Fraction``, aliased
-``QQ``), and rank, solve, kernel and characteristic polynomial are exact.
-All elimination runs through one fraction-free Gauss-Jordan loop over
-Python integers (`_echelon`, Bareiss's integer-preserving step): each row
-is first scaled to integers, and only the final answers become fractions
-``x / d`` of the last pivot d.  Pivots are the first non-zero entry in input
-row order, which makes every result deterministic.
+Matrices hold arbitrary-precision rationals, and rank, solve, kernel and
+characteristic polynomial are exact.  This module alone decides how an entry
+is stored: an integer is a Python ``int`` and any other rational a
+``fractions.Fraction`` (aliased ``QQ``), so integer data such as walk and
+adjacency matrices stay ints from input to answer.  All elimination runs
+through one fraction-free Gauss-Jordan loop over Python integers
+(`_echelon`, Bareiss's integer-preserving step): each row is first scaled to
+integers, and only the final answers become ``x / d`` of the last pivot d,
+a Fraction only where d does not divide x.  Pivots are the first non-zero
+entry in input row order, which makes every result deterministic.
 
 Matrices are immutable values: all operations return fresh matrices, so
 instances are safe to share between threads.
@@ -22,15 +25,26 @@ from .errors import NonInteger, NoSolution, NonUnique
 
 QQ = Fraction
 
-Vector = tuple[Fraction, ...]
+Number = int | Fraction
+Vector = tuple[Number, ...]
 
 
-def _to_frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _entry(x) -> Number:
+    """The stored form of an exact number: an int when it is an integer
+    (bools included), otherwise a Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _ratio(x: int, d: int) -> Number:
+    """x / d in stored form."""
+    q, rem = divmod(x, d)
+    return Fraction(x, d) if rem else q
 
 
 class ExactMatrix:
@@ -39,7 +53,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, entries: Iterable[Iterable]):
-        grid = tuple(tuple(_to_frac(x) for x in row) for row in entries)
+        grid = tuple(tuple(map(_entry, row)) for row in entries)
         if grid and any(len(r) != len(grid[0]) for r in grid):
             raise ValueError("ragged rows")
         self._entries = grid
@@ -58,15 +72,14 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "ExactMatrix":
-        cols = [tuple(_to_frac(x) for x in c) for c in columns]
+        cols = list(columns)
         if cols and any(len(c) != len(cols[0]) for c in cols):
             raise ValueError("ragged columns")
-        n = len(cols[0]) if cols else 0
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        return cls(zip(*cols))
 
     # -- access --
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+    def __getitem__(self, ij: tuple[int, int]) -> Number:
         i, j = ij
         return self._entries[i][j]
 
@@ -76,14 +89,8 @@ class ExactMatrix:
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self._entries)
 
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._entries]
-
     def take_cols(self, indices: Sequence[int]) -> "ExactMatrix":
         return ExactMatrix([[r[j] for j in indices] for r in self._entries])
-
-    def take_rows(self, indices: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix([self._entries[i] for i in indices])
 
     # -- predicates --
 
@@ -91,15 +98,7 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_integer(self) -> bool:
-        return all(x.denominator == 1 for r in self._entries for x in r)
-
-    def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self._entries[i][j] == self._entries[j][i]
-            for i in range(self.rows) for j in range(i))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self._entries for x in r)
+        return all(type(x) is int for r in self._entries for x in r)
 
     # -- arithmetic --
 
@@ -125,19 +124,12 @@ class ExactMatrix:
                 out.append([sum(r[k] * bt[k][j] for k in range(self.cols))
                             for j in range(other.cols)])
             return ExactMatrix(out)
-        s = _to_frac(other)
+        s = _entry(other)
         return ExactMatrix([[x * s for x in r] for r in self._entries])
 
     def __rmul__(self, other):
-        s = _to_frac(other)
+        s = _entry(other)
         return ExactMatrix([[s * x for x in r] for r in self._entries])
-
-    def mul_vector(self, vec: Sequence) -> Vector:
-        v = [_to_frac(x) for x in vec]
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(r[k] * v[k] for k in range(self.cols))
-                     for r in self._entries)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix([[self._entries[i][j] for i in range(self.rows)]
@@ -238,8 +230,7 @@ def solve_matrix(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise NoSolution("inconsistent system")
     if len(pivots) < n:
         raise NonUnique("underdetermined system")
-    return ExactMatrix([[Fraction(x, d) for x in row[n:]]
-                        for row in rows[:n]])
+    return ExactMatrix([[_ratio(x, d) for x in row[n:]] for row in rows[:n]])
 
 
 def kernel_basis(m: ExactMatrix) -> list[Vector]:
@@ -251,10 +242,10 @@ def kernel_basis(m: ExactMatrix) -> list[Vector]:
     rows, pivots, d = _echelon(_integer_rows(m._entries))
     basis = []
     for f in sorted(set(range(m.cols)) - set(pivots)):
-        v = [QQ(0)] * m.cols
-        v[f] = QQ(1)
+        v = [0] * m.cols
+        v[f] = 1
         for row, c in zip(rows, pivots):
-            v[c] = Fraction(-row[f], d)
+            v[c] = _ratio(-row[f], d)
         basis.append(tuple(v))
     return basis
 
@@ -280,9 +271,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -362,8 +350,7 @@ def char_poly(a: ExactMatrix) -> IntPolynomial:
         raise ValueError("matrix must be square")
     if not a.is_integer():
         raise NonInteger("char_poly needs integer entries")
-    n = a.rows
-    grid = [[int(x) for x in r] for r in a._entries]
+    n, grid = a.rows, a._entries
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [1]  # leading coefficient, descending order
     for k in range(1, n + 1):

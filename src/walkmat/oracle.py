@@ -19,8 +19,6 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .canonical import lex_form
 from .errors import EmptySet, TooLarge
 from .exact import rank
@@ -176,6 +174,8 @@ def float_eigencheck(g: Graph, s: VertexSet, tol: float = EIGENCHECK_TOL) -> boo
     """Count eigenspaces not perpendicular to e, numerically; compare with
     the exact rank of W^S.  An entirely independent route to the same number.
     """
+    import numpy as np
+
     vals, vecs = np.linalg.eigh(np.array(g.adj, dtype=float))
     e = np.array(s.characteristic, dtype=float)
     proj = vecs.T @ e
@@ -263,6 +263,8 @@ def enumerate_graph_classes(n: int) -> list[Graph]:
     whole permutation orbit as seen (orbit images are vectorized over all n!
     permutations at once).
     """
+    import numpy as np
+
     if n > ENUM_CAP:
         raise TooLarge(f"exhaustive enumeration capped at n = {ENUM_CAP}")
     if n <= 1:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import (CandidateNotGraph, MissingEdgeCount,
                      NegativeDiscriminant, NotAWalkMatrix, WalkmatError)
-from .exact import QQ, ExactMatrix, kernel_basis
+from .exact import QQ, ExactMatrix, Number, kernel_basis
 from .graphs import Graph, edge_count, emit_graph6
 from .spectral import _Analysis, _analyse, _restriction, _summary
 from .walk import WalkMatrix, walk_matrix
@@ -82,7 +82,7 @@ def _validate_adjacency(a: ExactMatrix) -> Graph:
                 raise CandidateNotGraph(f"entry ({i},{j}) = {x} is not 0/1")
         if row[i] != 0:
             raise CandidateNotGraph(f"diagonal entry {i} is non-zero")
-        grid.append(tuple(int(x) for x in row))
+        grid.append(row)
     for i in range(n):
         for j in range(i):
             if grid[i][j] != grid[j][i]:
@@ -101,7 +101,7 @@ def verify_candidate(a: ExactMatrix, w: WalkMatrix) -> bool:
 
 def _symmetric(d: int, upper) -> ExactMatrix:
     """The symmetric d x d matrix whose upper triangle, row by row, is upper."""
-    s = [[QQ(0)] * d for _ in range(d)]
+    s = [[0] * d for _ in range(d)]
     it = iter(upper)
     for a in range(d):
         for b in range(a, d):
@@ -109,11 +109,11 @@ def _symmetric(d: int, upper) -> ExactMatrix:
     return ExactMatrix(s)
 
 
-def _trace(x: ExactMatrix) -> QQ:
-    return sum((x[i, i] for i in range(x.rows)), QQ(0))
+def _trace(x: ExactMatrix) -> Number:
+    return sum(x[i, i] for i in range(x.rows))
 
 
-def _rational_sqrt(q: QQ) -> QQ | None:
+def _rational_sqrt(q: Number) -> QQ | None:
     if q < 0:
         return None
     num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
@@ -244,7 +244,7 @@ def derive_edge_count(w: WalkMatrix) -> int | None:
     sequence); None when S is a proper subset."""
     if not w.vertex_set.is_full():
         return None
-    total = sum(int(x) for x in w.w.col(1)) if w.n > 1 else 0
+    total = sum(w.w.col(1)) if w.n > 1 else 0
     if total % 2 != 0:
         raise NotAWalkMatrix("degree sum is odd; not a walk matrix")
     return total // 2

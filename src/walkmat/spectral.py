@@ -21,8 +21,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (EmptySet, NotAWalkMatrix, RealizationFailed,
                      RootsNotSeparated)
 from .exact import (ExactMatrix, IntPolynomial, _echelon, rank, solve,
@@ -86,7 +84,7 @@ def _analyse(w: WalkMatrix) -> _Analysis:
     depends on.  These n - r rows are a basis of ker W^T.
     """
     n = w.n
-    rows = [[x.numerator for x in w.w.row(v)] + [int(u == v) for u in range(n)]
+    rows = [list(w.w.row(v)) + [int(u == v) for u in range(n)]
             for v in range(n)]
     rows, pivots, d = _echelon(rows, n)
     r = len(pivots)
@@ -106,15 +104,15 @@ def _char_from_hankel(w: WalkMatrix) -> IntPolynomial:
     """Full-rank branch: characteristic polynomial from the walk numbers
     N_k = e^T A^k e = (A^i e).(A^j e), i + j = k."""
     n = w.n
-    cols = [[x.numerator for x in w.w.col(k)] for k in range(n)]
+    cols = [w.w.col(k) for k in range(n)]
     walks = [sum(x * y for x, y in zip(cols[k // 2], cols[k - k // 2]))
              for k in range(2 * n - 1)]
     hankel = ExactMatrix([walks[j:j + n - 1] for j in range(n - 1)])
     c = solve(hankel, [-walks[n + j] for j in range(n - 1)])
-    if any(x.denominator != 1 for x in c):
+    if not all(isinstance(x, int) for x in c):
         raise NotAWalkMatrix("recovered polynomial is not integral; "
                              "input is not a genuine walk matrix")
-    return IntPolynomial([int(x) for x in c] + [0, 1])
+    return IntPolynomial(c + (0, 1))
 
 
 def _summary(a: _Analysis) -> SpectralSummary:
@@ -150,7 +148,7 @@ def main_poly_via_dependence(g: Graph, s: VertexSet) -> IntPolynomial:
     r = rank(w.w)
     sl = walk_slice(g, s, 0, r).m
     f = solve(sl.take_cols(range(r)), sl.col(r))
-    return IntPolynomial([-int(x) for x in f] + [1])
+    return IntPolynomial([-x for x in f] + [1])
 
 
 def _restriction(a: _Analysis,
@@ -205,6 +203,8 @@ def kernel_projector(g: Graph, s: VertexSet) -> ExactMatrix:
 
 def _polished_roots(poly: IntPolynomial, tol: float) -> list[float]:
     """Real roots of a real-rooted polynomial, Newton-polished to |p| <= tol."""
+    import numpy as np
+
     desc = [float(c) for c in reversed(poly.coeffs)]
     roots = [z.real for z in np.roots(desc)]
     deriv = poly.derivative()
@@ -228,6 +228,8 @@ def _polished_roots(poly: IntPolynomial, tol: float) -> list[float]:
 
 def realize_from_walk(w: WalkMatrix, tol: float = ROOT_TOL) -> NumericRealization:
     """Numeric (mu, M, E) with W = E*M checked at REALIZE_CHECK_TOL."""
+    import numpy as np
+
     summary = summary_from_walk(w)
     r, n = summary.r, w.n
     mu = _polished_roots(summary.main_poly, tol)

@@ -2,8 +2,8 @@
 
 Columns are built by neighbor summation over adjacency lists, never by matrix
 powers: column k+1 at vertex v is the sum of column k over v's neighbors.
-Entries are exact arbitrary-precision integers (stored as rationals with
-denominator 1); they grow geometrically with the column index.
+Entries are exact arbitrary-precision Python ints; they grow geometrically
+with the column index.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def hankel_matrix(g: Graph, s: VertexSet, i: int, j: int) -> ExactMatrix:
 
 def to_json(w: WalkMatrix) -> str:
     """JSON with integers as decimal strings (arbitrary precision survives)."""
-    cols = [[str(int(x)) for x in w.w.col(k)] for k in range(w.n)]
+    cols = [[str(x) for x in w.w.col(k)] for k in range(w.n)]
     return json.dumps({"n": w.n, "set": list(w.vertex_set.members),
                        "columns": cols})
 
@@ -143,7 +143,7 @@ def from_json(text: str) -> WalkMatrix:
 def to_text(w: WalkMatrix) -> str:
     """Plain integer matrix with a '# set: i,j,k' header line."""
     head = "# set: " + ",".join(str(i) for i in w.vertex_set.members)
-    body = "\n".join(" ".join(str(int(x)) for x in w.w.row(i))
+    body = "\n".join(" ".join(str(x) for x in w.w.row(i))
                      for i in range(w.n))
     return head + "\n" + body + "\n"
 

@@ -58,7 +58,7 @@ def test_lex_canonical_law(seed):
     for i in range(n - 1, 0, -1):   # seeded Fisher-Yates
         j = rng.below(i + 1)
         order[i], order[j] = order[j], order[i]
-    permuted = WalkMatrix.from_matrix(w.w.take_rows(order))
+    permuted = WalkMatrix.from_matrix(ExactMatrix([w.w.row(i) for i in order]))
     assert lex_form(permuted).matrix == lex_form(w).matrix
 
 

@@ -2,6 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +96,29 @@ def test_reconstruct_undetermined(tmp_path):
     code, out = run(["reconstruct", str(p)])
     assert code == 4
     assert json.loads(out)["reason"] == "not_a_walk_matrix"
+
+
+def test_cli_starts_without_numpy(paw_al, mates8_walk):
+    # only spectral --numeric, float_eigencheck and roundtrip load NumPy
+    code = textwrap.dedent(f"""
+        import io, json, sys
+        from walkmat.cli import main
+        calls = [["walk", {paw_al!r}], ["mainpoly", {paw_al!r}],
+                 ["reconstruct", {mates8_walk!r}, "--edges", "10"],
+                 ["canon", {paw_al!r}], ["iso", {paw_al!r}, {paw_al!r}],
+                 ["equiv", {paw_al!r}, {paw_al!r}]]
+        codes = [main(argv, out=io.StringIO()) for argv in calls]
+        print(json.dumps([codes, "numpy" in sys.modules]))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # iso of the paw with itself at S = V (rank n-1) is definitive
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0, 0], False]
 
 
 def test_canon_reference_lex_form(paw_al):
