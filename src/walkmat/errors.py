@@ -63,10 +63,6 @@ class NotAWalkMatrix(WalkmatError):
 
 # --- spectral / numeric realization ---
 
-class RootsNotSeparated(WalkmatError):
-    """Two polished polynomial roots coincide within tolerance."""
-
-
 class RealizationFailed(WalkmatError):
     """A numeric realization failed its own E*M = W or column-sum check."""
 

@@ -293,9 +293,6 @@ class IntPolynomial:
                 out[i + j] += a * b
         return IntPolynomial(out)
 
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .canonical import lex_form
@@ -230,6 +229,8 @@ def rank_statistics(n: int, trials: int, seed: int,
     master = SplitMix64(seed)
     work = [(n, master.next_word(), random_sets) for _ in range(trials)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             ranks = list(pool.map(_rank_trial, work, chunksize=64))
     else:
@@ -361,6 +362,8 @@ def exhaustive_roundtrip(n: int, extra_samples: int = 0,
         rng = SplitMix64(seed)
         graphs = graphs + [random_graph(n, rng) for _ in range(extra_samples)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_roundtrip_one, graphs, chunksize=16))
     else:

@@ -1,7 +1,9 @@
 """Spectral decomposition recovered from a walk matrix.
 
 One fraction-free elimination of [W | I_n] (`_analyse`) gives r = rank(W),
-an integer basis K of ker W^T and, by r:
+an integer basis K of ker W^T, the I-part T of the r pivot rows and the last
+pivot d; for a genuine walk matrix the pivots are 0..r-1, so
+T W_[0,r-1] = d I_r (at r = n, T = d W^-1).  By r:
 
 * r < n: the column A^r e as a unique rational combination of the first r
   columns; negating those coefficients gives the monic main polynomial.
@@ -9,10 +11,17 @@ an integer basis K of ker W^T and, by r:
   by solving (W_[0,n-2]^T W_[0,n-2]) c^T = -w^T with the x^{n-1}
   coefficient pinned to 0 (trace of an adjacency matrix).
 
+The restriction A_W = W_[1,r] W^+ is then a product: with B = W_[1,r] T and
+G = K^T K, A_W = (B - B K G^-1 K^T) / d, the only further elimination being
+the small G solve (none at r = n).
+
 The exact layer never represents irrational eigenvalues: it carries the main
-polynomial.  Numeric eigenvalues, the Vandermonde eigenvalue matrix M and the
-eigenvector matrix E form a derived floating-point view with an explicit
-tolerance; every consumer that needs exactness re-verifies rationally.
+polynomial.  The numeric realization W = E M (main eigenvalues mu, their
+Vandermonde matrix M and the main eigenvector matrix E) is a derived
+floating-point view: one symmetric eigensolver call on A_W - n P_K, P_K the
+exact projector onto ker W^T, whose r largest eigenpairs are the main ones.
+It is checked against W at REALIZE_CHECK_TOL; every consumer that needs
+exactness re-verifies rationally.
 """
 
 from __future__ import annotations
@@ -21,16 +30,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import (EmptySet, NotAWalkMatrix, RealizationFailed,
-                     RootsNotSeparated)
-from .exact import (ExactMatrix, IntPolynomial, _echelon, rank, solve,
+from .errors import NotAWalkMatrix, RealizationFailed
+from .exact import (QQ, ExactMatrix, IntPolynomial, _echelon, rank, solve,
                     solve_matrix)
 from .graphs import Graph, VertexSet
 from .walk import WalkMatrix, walk_matrix, walk_slice
 
-# root polishing happens at the caller-supplied tolerance (default below);
 # E*M = W and related float identities are checked at REALIZE_CHECK_TOL
-ROOT_TOL = 1e-10
 REALIZE_CHECK_TOL = 1e-8
 
 
@@ -65,7 +71,8 @@ class Restriction:
 
 @dataclass(frozen=True)
 class _Analysis:
-    """Rank, main polynomial and left kernel of W, from `_analyse`."""
+    """Rank, main polynomial, left kernel and the pivot rows' I-part of W,
+    from `_analyse`."""
 
     w: WalkMatrix
     r: int
@@ -73,6 +80,8 @@ class _Analysis:
     # not integral: then W is not a walk matrix
     main_poly: IntPolynomial | None
     kernel: tuple[tuple[int, ...], ...]  # primitive integer basis of ker W^T
+    t: tuple[tuple[int, ...], ...]  # r x n: T W_[0,r-1] = d I_r when genuine
+    d: int  # the last pivot
 
 
 def _analyse(w: WalkMatrix) -> _Analysis:
@@ -97,7 +106,8 @@ def _analyse(w: WalkMatrix) -> _Analysis:
     if (r < n and pivots == list(range(r))
             and all(row[r] % d == 0 for row in rows[:r])):
         main_poly = IntPolynomial([-row[r] // d for row in rows[:r]] + [1])
-    return _Analysis(w, r, main_poly, kernel)
+    return _Analysis(w, r, main_poly, kernel,
+                     tuple(tuple(row[n:]) for row in rows[:r]), d)
 
 
 def _char_from_hankel(w: WalkMatrix) -> IntPolynomial:
@@ -133,8 +143,6 @@ def summary_from_walk(w: WalkMatrix) -> SpectralSummary:
 
 
 def spectral_summary(g: Graph, s: VertexSet) -> SpectralSummary:
-    if s.is_empty():
-        raise EmptySet("spectral summary needs a non-empty vertex set")
     return summary_from_walk(walk_matrix(g, s))
 
 
@@ -151,26 +159,35 @@ def main_poly_via_dependence(g: Graph, s: VertexSet) -> IntPolynomial:
     return IntPolynomial([-x for x in f] + [1])
 
 
-def _restriction(a: _Analysis,
-                 summary: SpectralSummary | None = None) -> ExactMatrix:
-    """A_W = W_[1,r] W^+ (W^+ the pseudo-inverse of W_[0,r-1]).
+def _restriction(a: _Analysis, summary: SpectralSummary | None = None,
+                 shift: int = 0) -> ExactMatrix:
+    """A_W - shift P_K: A_W = W_[1,r] W^+ (W^+ the pseudo-inverse of
+    W_[0,r-1]), and P_K = K G^-1 K^T (G = K^T K) projects onto ker W^T.
 
-    A_W maps W_[0,r-1] to W_[1,r] and K to 0, so X = A_W^T is the unique
-    solution of [W_[0,r-1] | K]^T X = [W_[1,r]^T ; 0].  At r = n, K is
-    empty, A^n e comes from the characteristic recurrence and A_W = A;
-    summary is the analysis's, when the caller already has it.
+    With B = W_[1,r] T, B / d maps W_[0,r-1] to W_[1,r], and I - P_K fixes
+    the column space of W and sends K to 0, so A_W = B (I - P_K) / d and
+    A_W - shift P_K = (B - (B + shift d I) P_K) / d; the G solve is the one
+    elimination past the analysis.  At r = n, K is empty, A^n e comes from
+    the characteristic recurrence and A_W = A.  The summary (NotAWalkMatrix
+    unless the pivots are 0..r-1) is the analysis's, when the caller
+    already has it.
     """
-    w, r, k = a.w, a.r, a.kernel
+    summary = summary or _summary(a)
+    w, r = a.w, a.r
     n = w.n
     upper = [w.w.col(j) for j in range(1, min(r + 1, n))]
     if r == n:
         # A^n e = -sum_i c_i A^i e, c the characteristic polynomial
-        cs = (summary or _summary(a)).char_poly.coeffs
+        cs = summary.char_poly.coeffs
         upper.append([-sum(c * x for c, x in zip(cs, w.w.row(v)))
                       for v in range(n)])
-    lhs = ExactMatrix([w.w.col(j) for j in range(r)] + list(k))
-    rhs = ExactMatrix(upper + [[0] * n] * len(k))
-    return solve_matrix(lhs, rhs).transpose()
+    b = ExactMatrix.from_columns(upper) * ExactMatrix(a.t)
+    if a.kernel:
+        kt = ExactMatrix(a.kernel)
+        k = kt.transpose()
+        gk = solve_matrix(kt * k, kt)
+        b = b + (b * k + k * (shift * a.d)) * gk * -1
+    return b * QQ(1, a.d)
 
 
 def restriction_from_walk(w: WalkMatrix) -> Restriction:
@@ -179,8 +196,6 @@ def restriction_from_walk(w: WalkMatrix) -> Restriction:
 
 
 def restriction(g: Graph, s: VertexSet) -> Restriction:
-    if s.is_empty():
-        raise EmptySet("restriction needs a non-empty vertex set")
     return restriction_from_walk(walk_matrix(g, s))
 
 
@@ -194,74 +209,42 @@ def kernel_projector_from_walk(w: WalkMatrix) -> ExactMatrix:
 
 
 def kernel_projector(g: Graph, s: VertexSet) -> ExactMatrix:
-    if s.is_empty():
-        raise EmptySet("kernel projector needs a non-empty vertex set")
     return kernel_projector_from_walk(walk_matrix(g, s))
 
 
 # --- numeric realization ---
 
-def _polished_roots(poly: IntPolynomial, tol: float) -> list[float]:
-    """Real roots of a real-rooted polynomial, Newton-polished to |p| <= tol."""
+def realize_from_walk(w: WalkMatrix) -> NumericRealization:
+    """Numeric (mu, M, E) with W = E*M checked at REALIZE_CHECK_TOL.
+
+    A_W is A on the column space of W, spanned by the main eigenvectors,
+    and 0 on ker W^T; shifting ker W^T to -n puts it below every eigenvalue
+    of A, all in [-(n-1), n-1], so the r largest eigenpairs (mu_i, v_i) of
+    A_W - n P_K are the main ones, and E = V diag(V^T e).
+    """
     import numpy as np
 
-    desc = [float(c) for c in reversed(poly.coeffs)]
-    roots = [z.real for z in np.roots(desc)]
-    deriv = poly.derivative()
-    out = []
-    for x in roots:
-        for _ in range(60):
-            px = float(poly(x))
-            if abs(px) <= tol:
-                break
-            dpx = float(deriv(x))
-            if dpx == 0.0:
-                break
-            step = px / dpx
-            x -= step
-            if abs(step) < 1e-300:
-                break
-        out.append(x)
-    out.sort()
-    return out
-
-
-def realize_from_walk(w: WalkMatrix, tol: float = ROOT_TOL) -> NumericRealization:
-    """Numeric (mu, M, E) with W = E*M checked at REALIZE_CHECK_TOL."""
-    import numpy as np
-
-    summary = summary_from_walk(w)
-    r, n = summary.r, w.n
-    mu = _polished_roots(summary.main_poly, tol)
-    if len(mu) != r:
-        raise RootsNotSeparated("lost a root while polishing")
-    for a, b in zip(mu, mu[1:]):
-        if b - a <= tol:
-            raise RootsNotSeparated(f"roots {a} and {b} coincide within {tol}")
-    # scale column k by s^-k before the float solve so entries stay O(1)
-    s = max(1.0, max(abs(x) for x in mu))
-    ws = np.array([[float(w.w[v, k]) / s**k for k in range(r)]
-                   for v in range(n)])
-    ms = np.array([[(x / s)**k for k in range(r)] for x in mu])
-    vec = np.linalg.solve(ms.T, ws.T).T
-    eig = np.array([[x**k for k in range(n)] for x in mu])
+    a = _analyse(w)
+    r, n = a.r, w.n
+    shifted = _restriction(a, shift=n)
+    vals, vecs = np.linalg.eigh(np.array(shifted.to_float_rows()))
+    mu, v = vals[n - r:], vecs[:, n - r:]
+    e_char = np.array([float(x) for x in w.vertex_set.characteristic])
+    vec = v * (v.T @ e_char)
+    eig = np.vander(mu, n, increasing=True)
     check = REALIZE_CHECK_TOL
     wf = np.array(w.w.to_float_rows())
     scale = max(1.0, np.max(np.abs(wf)))
     # written as "not <=" so that a NaN residual fails too
     if not np.max(np.abs(vec @ eig - wf)) <= check * scale:
         raise RealizationFailed("realization failed the E*M = W check")
-    e_char = np.array([float(x) for x in w.vertex_set.characteristic])
     if not np.max(np.abs(vec.sum(axis=1) - e_char)) <= check:
         raise RealizationFailed("eigenvector columns do not sum to e")
-    return NumericRealization(tuple(mu), eig, vec, check)
+    return NumericRealization(tuple(mu.tolist()), eig, vec, check)
 
 
-def main_eigen_realize(g: Graph, s: VertexSet,
-                       tol: float = ROOT_TOL) -> NumericRealization:
-    if s.is_empty():
-        raise EmptySet("realization needs a non-empty vertex set")
-    return realize_from_walk(walk_matrix(g, s), tol)
+def main_eigen_realize(g: Graph, s: VertexSet) -> NumericRealization:
+    return realize_from_walk(walk_matrix(g, s))
 
 
 # --- serialization ---

@@ -59,7 +59,7 @@ def test_mainpoly(paw_al):
     assert obj == {"rank": 3, "main_poly": [1, -3, -1, 1]}
 
 
-def test_spectral_numeric(paw_al):
+def test_spectral_numeric(paw_al, tmp_path):
     code, out = run(["spectral", paw_al, "--numeric"])
     assert code == 0
     obj = json.loads(out)
@@ -67,6 +67,14 @@ def test_spectral_numeric(paw_al):
     assert obj["main_poly"] == [1, -3, -1, 1]
     assert "char_poly" not in obj
     assert len(obj["mu"]) == 3 and abs(obj["mu"][2] - 2.17) < 0.01
+    # G(32, 1/2): the realization also holds at full rank n = 32
+    from walkmat import SplitMix64, emit_graph6, random_graph
+    p = tmp_path / "g32.g6"
+    p.write_text(emit_graph6(random_graph(32, SplitMix64(32))) + "\n")
+    code, out = run(["spectral", str(p), "--numeric"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["rank"] == 32 and len(obj["mu"]) == 32
 
 
 def test_restrict(paw_al):
@@ -99,7 +107,8 @@ def test_reconstruct_undetermined(tmp_path):
 
 
 def test_cli_starts_without_numpy(paw_al, mates8_walk):
-    # only spectral --numeric, float_eigencheck and roundtrip load NumPy
+    # only spectral --numeric, float_eigencheck and roundtrip load NumPy,
+    # and only stats and roundtrip with --jobs > 1 start a process pool
     code = textwrap.dedent(f"""
         import io, json, sys
         from walkmat.cli import main
@@ -108,7 +117,8 @@ def test_cli_starts_without_numpy(paw_al, mates8_walk):
                  ["canon", {paw_al!r}], ["iso", {paw_al!r}, {paw_al!r}],
                  ["equiv", {paw_al!r}, {paw_al!r}]]
         codes = [main(argv, out=io.StringIO()) for argv in calls]
-        print(json.dumps([codes, "numpy" in sys.modules]))
+        print(json.dumps([codes, "numpy" in sys.modules,
+                          "concurrent.futures.process" in sys.modules]))
     """)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -118,7 +128,7 @@ def test_cli_starts_without_numpy(paw_al, mates8_walk):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # iso of the paw with itself at S = V (rank n-1) is definitive
-    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0, 0], False]
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0, 0], False, False]
 
 
 def test_canon_reference_lex_form(paw_al):

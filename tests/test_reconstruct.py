@@ -266,11 +266,13 @@ def test_reconstruct_at_n40_in_every_rank_class():
 
 def test_one_analysis_per_walk_matrix(monkeypatch, paw, paw_sets):
     # each call eliminates [W | I] once; the summary adds the Hankel solve
-    # at rank n, the restriction the solve for A_W, and reconstruct the
-    # Hankel solve (rank n) or the zero-diagonal system (below) and A_W
+    # at rank n, and below rank n the restriction, the realization and the
+    # projector add the G = K^T K solve and reconstruct also the
+    # zero-diagonal system; A_W is a product, not an elimination
     import walkmat.exact
     import walkmat.spectral
-    from walkmat.spectral import restriction_from_walk
+    from walkmat.spectral import (kernel_projector_from_walk,
+                                  realize_from_walk, restriction_from_walk)
     calls = []
     echelon = walkmat.exact._echelon
 
@@ -291,8 +293,13 @@ def test_one_analysis_per_walk_matrix(monkeypatch, paw, paw_sets):
 
     for w, offset in ((full, 0), (n1, 1), (n2, 2)):
         assert count(summary_from_walk, w) == (2 if offset == 0 else 1)
-        assert count(restriction_from_walk, w) == (3 if offset == 0 else 2)
-        assert count(lambda w: reconstruct(ReconstructionInput(w)), w) == 3
+        assert count(restriction_from_walk, w) == 2
+        assert count(lambda w: reconstruct(ReconstructionInput(w)), w) == \
+            (2 if offset == 0 else 3)
+        assert count(realize_from_walk, w) == 2
+        # at rank n, ker W^T is trivial and the projector needs no solve
+        assert count(kernel_projector_from_walk, w) == \
+            (1 if offset == 0 else 2)
 
 
 def test_rank_n2_twin_stress_up_to_n16():

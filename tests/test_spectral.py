@@ -123,6 +123,12 @@ def test_realize_invariants(seed):
     for i, mu in enumerate(real.mu):
         col = real.vec_matrix[:, i]
         assert np.max(np.abs(a @ col - mu * col)) <= 1e-6 * scale
+    # ... and is the projection of e onto the eigenspace of mu
+    lam, u = np.linalg.eigh(a)
+    for i, mu in enumerate(real.mu):
+        space = u[:, np.abs(lam - mu) <= 1e-6]
+        assert np.max(np.abs(real.vec_matrix[:, i] - space @ (space.T @ e))) \
+            <= 1e-9
     # det(M_[0,r-1])^2 is an integer (Vandermonde in the main eigenvalues)
     r = len(real.mu)
     m0 = np.array([[real.mu[i] ** k for k in range(r)] for i in range(r)])
@@ -233,32 +239,45 @@ def test_empty_set_errors(paw):
 
 def test_realize_check_survives_python_O():
     # the realization checks must hold under `python -O`, which strips
-    # asserts: at n = 32 main_eigen_realize either fails with
-    # RealizationFailed or returns E, M with E*M = W and rows of E summing
-    # to e, both within its stated tolerance (as in test_realize_invariants)
+    # asserts, and the realization must succeed at scale: G(32, 1/2) and
+    # G(40, 1/2) at S = V (rank n), and G(30, 1/2) with two false twins of
+    # its last vertex at S = {1..15} (rank n-2, S != V).  Each returns E, M
+    # with E*M = W and rows of E summing to e, both within its stated
+    # tolerance (as in test_realize_invariants), and each column of E is
+    # the projection of e onto the eigenspace of its mu.
     code = textwrap.dedent("""
         import json, sys
         import numpy as np
-        from walkmat import SplitMix64, VertexSet, random_graph, walk_matrix
-        from walkmat.errors import RealizationFailed
+        from walkmat import (Graph, SplitMix64, VertexSet, random_graph,
+                             rank, walk_matrix)
         from walkmat.spectral import main_eigen_realize
-        g = random_graph(32, SplitMix64(32))
-        s = VertexSet.full(32)
-        out = {"optimize": sys.flags.optimize}
-        try:
+        g0 = random_graph(30, SplitMix64(30))
+        twins = Graph(32, tuple(
+            tuple(r) + (r[29], r[29]) for r in g0.adj) + 2 * (
+            tuple(g0.adj[29]) + (0, 0),))
+        cases = [(random_graph(32, SplitMix64(32)), VertexSet.full(32)),
+                 (random_graph(40, SplitMix64(40)), VertexSet.full(40)),
+                 (twins, VertexSet.of(32, range(1, 16)))]
+        out = {"optimize": sys.flags.optimize, "cases": []}
+        for g, s in cases:
             real = main_eigen_realize(g, s)
-        except RealizationFailed:
-            out["raised"] = True
-        else:
-            wf = np.array(walk_matrix(g, s).w.to_float_rows())
+            w = walk_matrix(g, s)
+            wf = np.array(w.w.to_float_rows())
             e = np.array(s.characteristic, dtype=float)
-            out.update(
-                raised=False, tolerance=real.tolerance,
+            lam, u = np.linalg.eigh(np.array(g.adj, dtype=float))
+            proj = np.column_stack([
+                u[:, np.abs(lam - mu) <= 1e-6]
+                @ (u[:, np.abs(lam - mu) <= 1e-6].T @ e) for mu in real.mu])
+            out["cases"].append(dict(
+                n=g.n, rank=rank(w.w), mus=len(real.mu),
+                tolerance=real.tolerance,
                 scale=max(1.0, float(np.max(np.abs(wf)))),
                 residual=float(np.max(np.abs(
                     real.vec_matrix @ real.eig_matrix - wf))),
                 row_sum_error=float(np.max(np.abs(
-                    real.vec_matrix.sum(axis=1) - e))))
+                    real.vec_matrix.sum(axis=1) - e))),
+                projection_error=float(np.max(np.abs(
+                    real.vec_matrix - proj)))))
         print(json.dumps(out))
     """)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -270,6 +289,10 @@ def test_realize_check_survives_python_O():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["optimize"] == 1
-    if not out["raised"]:
-        assert out["residual"] <= out["tolerance"] * out["scale"]
-        assert out["row_sum_error"] <= out["tolerance"]
+    assert [(c["n"], c["rank"]) for c in out["cases"]] == \
+        [(32, 32), (40, 40), (32, 30)]
+    for case in out["cases"]:
+        assert case["mus"] == case["rank"]
+        assert case["residual"] <= case["tolerance"] * case["scale"]
+        assert case["row_sum_error"] <= case["tolerance"]
+        assert case["projection_error"] <= 1e-9
