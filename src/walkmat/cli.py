@@ -139,10 +139,12 @@ def _cmd_mainpoly(args, out) -> int:
 def _cmd_spectral(args, out) -> int:
     g = _load_graph(args.graph)
     s = _parse_set(args.set, g.n)
-    summary = spectral.spectral_summary(g, s)
+    # one analysis of W serves the summary and the realization
+    analysis = spectral._analyse(walk.walk_matrix(g, s))
+    summary = spectral._summary(analysis)
     realization = None
     if args.numeric:
-        realization = spectral.main_eigen_realize(g, s)
+        realization = spectral._realize(analysis, summary)
     print(spectral.summary_to_json(summary, realization), file=out)
     return EXIT_OK
 

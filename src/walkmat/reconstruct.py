@@ -28,13 +28,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (CandidateNotGraph, MissingEdgeCount,
                      NegativeDiscriminant, NotAWalkMatrix, WalkmatError)
 from .exact import QQ, ExactMatrix, Number, kernel_basis
 from .graphs import Graph, edge_count, emit_graph6
 from .spectral import _Analysis, _analyse, _restriction, _summary
-from .walk import WalkMatrix, walk_matrix
+from .walk import WalkMatrix
 
 RANK_TOO_LOW = "rank_too_low"
 NOT_A_WALK_MATRIX = "not_a_walk_matrix"
@@ -69,34 +70,27 @@ class ReconstructionInput:
     edge_count_hint: int | None = None
 
 
-def _validate_adjacency(a: ExactMatrix) -> Graph:
-    """0/1, symmetric, zero diagonal -- or CandidateNotGraph."""
-    if not a.is_square():
-        raise CandidateNotGraph("candidate is not square")
-    n = a.rows
-    grid = []
-    for i in range(n):
-        row = a.row(i)
-        for j, x in enumerate(row):
-            if x != 0 and x != 1:
-                raise CandidateNotGraph(f"entry ({i},{j}) = {x} is not 0/1")
-        if row[i] != 0:
-            raise CandidateNotGraph(f"diagonal entry {i} is non-zero")
-        grid.append(row)
-    for i in range(n):
-        for j in range(i):
-            if grid[i][j] != grid[j][i]:
-                raise CandidateNotGraph("candidate is not symmetric")
-    return Graph(n, tuple(grid))
-
-
 def verify_candidate(a: ExactMatrix, w: WalkMatrix) -> bool:
-    """True iff a is a valid adjacency matrix that regenerates w exactly."""
-    try:
-        g = _validate_adjacency(a)
-    except CandidateNotGraph:
+    """True iff a is a valid adjacency matrix (0/1, symmetric, zero
+    diagonal) that regenerates w exactly.
+
+    The walk recurrence col_{k+1} = a col_k runs on a's own rows and stops
+    at the first column that differs from w.
+    """
+    n = w.n
+    if a.shape != (n, n):
         return False
-    return walk_matrix(g, w.vertex_set).w == w.w
+    rows = [a.row(i) for i in range(n)]
+    if any(row[i] or not set(row) <= {0, 1} or row != a.col(i)
+           for i, row in enumerate(rows)):
+        return False
+    col = w.vertex_set.characteristic
+    for k in range(n):
+        if k:
+            col = tuple(sum(compress(col, row)) for row in rows)
+        if col != w.w.col(k):
+            return False
+    return True
 
 
 def _symmetric(d: int, upper) -> ExactMatrix:
@@ -186,7 +180,7 @@ def _reconstruct(analysis: _Analysis,
     graphs = []
     for a in candidates:
         if verify_candidate(a, w):
-            g = _validate_adjacency(a)
+            g = Graph(w.n, tuple(a.row(i) for i in range(w.n)))
             # the edge count is part of the input at rank n-2
             if m is None or edge_count(g) == m:
                 graphs.append(g)

@@ -7,13 +7,15 @@ T W_[0,r-1] = d I_r (at r = n, T = d W^-1).  By r:
 
 * r < n: the column A^r e as a unique rational combination of the first r
   columns; negating those coefficients gives the monic main polynomial.
-* r = n: the characteristic polynomial follows from the 2n-1 walk numbers
-  by solving (W_[0,n-2]^T W_[0,n-2]) c^T = -w^T with the x^{n-1}
-  coefficient pinned to 0 (trace of an adjacency matrix).
+* r = n: the characteristic polynomial follows from T with no further
+  elimination.  W^T A^n e is the walk numbers N_n..N_{2n-1}, all known from
+  W but N_{2n-1}, so d A^n e = T^T (N_n, ..., N_{2n-2}, t); the
+  coefficients are c = -T A^n e / d, and tr A = 0 (no x^{n-1} term) fixes t.
 
 The restriction A_W = W_[1,r] W^+ is then a product: with B = W_[1,r] T and
 G = K^T K, A_W = (B - B K G^-1 K^T) / d, the only further elimination being
-the small G solve (none at r = n).
+the small one of [G | K^T] (none at r = n).  All of it runs on Python ints;
+only the answer is divided, once.
 
 The exact layer never represents irrational eigenvalues: it carries the main
 polynomial.  The numeric realization W = E M (main eigenvalues mu, their
@@ -29,10 +31,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import NotAWalkMatrix, RealizationFailed
-from .exact import (QQ, ExactMatrix, IntPolynomial, _echelon, rank, solve,
-                    solve_matrix)
+from .exact import ExactMatrix, IntPolynomial, _echelon, _ratio, rank, solve
 from .graphs import Graph, VertexSet
 from .walk import WalkMatrix, walk_matrix, walk_slice
 
@@ -110,25 +112,41 @@ def _analyse(w: WalkMatrix) -> _Analysis:
                      tuple(tuple(row[n:]) for row in rows[:r]), d)
 
 
-def _char_from_hankel(w: WalkMatrix) -> IntPolynomial:
-    """Full-rank branch: characteristic polynomial from the walk numbers
-    N_k = e^T A^k e = (A^i e).(A^j e), i + j = k."""
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
+
+
+def _char_from_pivots(a: _Analysis) -> IntPolynomial:
+    """Full-rank branch: the characteristic polynomial from T = d W^-1 and
+    the walk numbers N_k = e^T A^k e = (A^i e).(A^j e), i + j = k.
+
+    With v = (N_n, ..., N_{2n-2}, 0), d A^n e = T^T v + t T_{n-1} for the
+    unknown t = N_{2n-1}, and c_{n-1} = -T_{n-1}.A^n e / d = 0 fixes t.  A W
+    that no graph has shows as a t, A^n e or c that is not integral, or as
+    a c that misses the Hankel equations sum_i c_i N_{i+j} + N_{n+j} = 0,
+    j < n-1, which every walk matrix satisfies.
+    """
+    w, t, d = a.w, a.t, a.d
     n = w.n
     cols = [w.w.col(k) for k in range(n)]
-    walks = [sum(x * y for x, y in zip(cols[k // 2], cols[k - k // 2]))
-             for k in range(2 * n - 1)]
-    hankel = ExactMatrix([walks[j:j + n - 1] for j in range(n - 1)])
-    c = solve(hankel, [-walks[n + j] for j in range(n - 1)])
-    if not all(isinstance(x, int) for x in c):
-        raise NotAWalkMatrix("recovered polynomial is not integral; "
-                             "input is not a genuine walk matrix")
-    return IntPolynomial(c + (0, 1))
+    walks = [_dot(cols[k // 2], cols[k - k // 2]) for k in range(2 * n - 1)]
+    tv = [_dot(walks[n:], tc) for tc in zip(*t)]  # T^T v
+    top, rem = divmod(-_dot(t[-1], tv), _dot(t[-1], t[-1]))
+    ane, rems = zip(*(divmod(x + top * y, d) for x, y in zip(tv, t[-1])))
+    c, crems = zip(*(divmod(-_dot(row, ane), d) for row in t))
+    c += (1,)
+    if rem or any(rems) or any(crems) or any(
+            _dot(c, walks[j:j + n + 1]) for j in range(n - 1)):
+        raise NotAWalkMatrix("recovered polynomial is not integral or misses "
+                             "the walk-number recurrence; input is not a "
+                             "genuine walk matrix")
+    return IntPolynomial(c)
 
 
 def _summary(a: _Analysis) -> SpectralSummary:
     """The spectral summary of an analysed W, or NotAWalkMatrix."""
     if a.r == a.w.n:
-        char = _char_from_hankel(a.w)
+        char = _char_from_pivots(a)
         return SpectralSummary(a.r, char, True, char)
     if a.main_poly is None:
         raise NotAWalkMatrix("leading columns are dependent or the main "
@@ -150,13 +168,23 @@ def main_poly_via_dependence(g: Graph, s: VertexSet) -> IntPolynomial:
     """Main polynomial from the A^r e dependence, for any rank.
 
     At full rank this uses the extra column A^n e from the graph, giving an
-    independent route to cross-check the Hankel branch.
+    independent route to cross-check the pivot-row branch
+    (`_char_from_pivots`), which never sees A^n e.
     """
     w = walk_matrix(g, s)
     r = rank(w.w)
     sl = walk_slice(g, s, 0, r).m
     f = solve(sl.take_cols(range(r)), sl.col(r))
     return IntPolynomial([-x for x in f] + [1])
+
+
+def _gram_solve(kt, n: int) -> tuple[list[tuple[int, ...]], int]:
+    """The n columns of X = dg G^-1 K^T (G = K^T K, kt = K^T) and dg, from
+    one elimination of [G | K^T]; empty columns and dg = 1 when K is."""
+    k = len(kt)
+    rows, _, dg = _echelon([[_dot(ki, kj) for kj in kt] + list(ki)
+                            for ki in kt], k) if kt else ([], [], 1)
+    return [tuple(row[k + u] for row in rows) for u in range(n)], dg
 
 
 def _restriction(a: _Analysis, summary: SpectralSummary | None = None,
@@ -166,28 +194,30 @@ def _restriction(a: _Analysis, summary: SpectralSummary | None = None,
 
     With B = W_[1,r] T, B / d maps W_[0,r-1] to W_[1,r], and I - P_K fixes
     the column space of W and sends K to 0, so A_W = B (I - P_K) / d and
-    A_W - shift P_K = (B - (B + shift d I) P_K) / d; the G solve is the one
-    elimination past the analysis.  At r = n, K is empty, A^n e comes from
-    the characteristic recurrence and A_W = A.  The summary (NotAWalkMatrix
-    unless the pivots are 0..r-1) is the analysis's, when the caller
-    already has it.
+    A_W - shift P_K = (dg B - (B K + shift d K) X) / (d dg) with
+    X = dg G^-1 K^T from `_gram_solve`, all in ints until that one
+    division.  At r = n, K is empty, A^n e comes from the characteristic
+    recurrence and A_W = A.  The summary (NotAWalkMatrix unless the pivots
+    are 0..r-1) is the analysis's, when the caller already has it.
     """
     summary = summary or _summary(a)
-    w, r = a.w, a.r
+    w, r, d, kt = a.w, a.r, a.d, a.kernel
     n = w.n
-    upper = [w.w.col(j) for j in range(1, min(r + 1, n))]
+    upper = [w.w.row(v)[1:r + 1] for v in range(n)]
     if r == n:
         # A^n e = -sum_i c_i A^i e, c the characteristic polynomial
         cs = summary.char_poly.coeffs
-        upper.append([-sum(c * x for c, x in zip(cs, w.w.row(v)))
-                      for v in range(n)])
-    b = ExactMatrix.from_columns(upper) * ExactMatrix(a.t)
-    if a.kernel:
-        kt = ExactMatrix(a.kernel)
-        k = kt.transpose()
-        gk = solve_matrix(kt * k, kt)
-        b = b + (b * k + k * (shift * a.d)) * gk * -1
-    return b * QQ(1, a.d)
+        upper = [row + (-_dot(cs, w.w.row(v)),)
+                 for v, row in enumerate(upper)]
+    tcols = list(zip(*a.t))
+    b = [[_dot(row, tc) for tc in tcols] for row in upper]
+    xcols, dg = _gram_solve(kt, n)
+    out = []
+    for v, bv in enumerate(b):
+        cv = [_dot(bv, kj) + shift * d * kj[v] for kj in kt]
+        out.append([_ratio(dg * y - _dot(cv, xc), d * dg)
+                    for y, xc in zip(bv, xcols)])
+    return ExactMatrix(out)
 
 
 def restriction_from_walk(w: WalkMatrix) -> Restriction:
@@ -201,11 +231,10 @@ def restriction(g: Graph, s: VertexSet) -> Restriction:
 
 def kernel_projector_from_walk(w: WalkMatrix) -> ExactMatrix:
     """K (K^T K)^{-1} K^T: exact orthogonal projector onto ker(W^T)."""
-    k = _analyse(w).kernel
-    if not k:
-        return ExactMatrix.zeros(w.n, w.n)
-    kt = ExactMatrix(k)
-    return kt.transpose() * solve_matrix(kt * kt.transpose(), kt)
+    kt = _analyse(w).kernel
+    xcols, dg = _gram_solve(kt, w.n)
+    return ExactMatrix([[_ratio(_dot([kj[v] for kj in kt], xc), dg)
+                         for xc in xcols] for v in range(w.n)])
 
 
 def kernel_projector(g: Graph, s: VertexSet) -> ExactMatrix:
@@ -215,7 +244,14 @@ def kernel_projector(g: Graph, s: VertexSet) -> ExactMatrix:
 # --- numeric realization ---
 
 def realize_from_walk(w: WalkMatrix) -> NumericRealization:
-    """Numeric (mu, M, E) with W = E*M checked at REALIZE_CHECK_TOL.
+    """Numeric (mu, M, E) with W = E*M checked at REALIZE_CHECK_TOL."""
+    return _realize(_analyse(w))
+
+
+def _realize(a: _Analysis, summary: SpectralSummary | None = None
+             ) -> NumericRealization:
+    """The realization of an analysed W (summary: the analysis's, when the
+    caller already has it).
 
     A_W is A on the column space of W, spanned by the main eigenvectors,
     and 0 on ker W^T; shifting ker W^T to -n puts it below every eigenvalue
@@ -224,9 +260,8 @@ def realize_from_walk(w: WalkMatrix) -> NumericRealization:
     """
     import numpy as np
 
-    a = _analyse(w)
-    r, n = a.r, w.n
-    shifted = _restriction(a, shift=n)
+    w, r, n = a.w, a.r, a.w.n
+    shifted = _restriction(a, summary, shift=n)
     vals, vecs = np.linalg.eigh(np.array(shifted.to_float_rows()))
     mu, v = vals[n - r:], vecs[:, n - r:]
     e_char = np.array([float(x) for x in w.vertex_set.characteristic])

@@ -110,9 +110,9 @@ def test_criterion_4_full_rank_char_recovery():
             continue
         summary = summary_from_walk(w)
         assert summary.char_poly == char_poly(g.adjacency), \
-            f"seed {seed - 1}: Hankel route disagrees with char_poly"
+            f"seed {seed - 1}: pivot-row route disagrees with char_poly"
         hits += 1
-    print(f"[criterion 4] PASS  Hankel-route polynomial = char_poly(A) on "
+    print(f"[criterion 4] PASS  pivot-row polynomial = char_poly(A) on "
           f"{hits} full-rank instances (n <= 12)")
 
 

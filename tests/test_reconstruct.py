@@ -265,10 +265,11 @@ def test_reconstruct_at_n40_in_every_rank_class():
 
 
 def test_one_analysis_per_walk_matrix(monkeypatch, paw, paw_sets):
-    # each call eliminates [W | I] once; the summary adds the Hankel solve
-    # at rank n, and below rank n the restriction, the realization and the
-    # projector add the G = K^T K solve and reconstruct also the
-    # zero-diagonal system; A_W is a product, not an elimination
+    # each call eliminates [W | I] once, and at rank n that is all: the
+    # characteristic polynomial comes from the pivot rows T and A_W is a
+    # product.  Below rank n the restriction, the realization and the
+    # projector add the elimination of [G | K^T] (G = K^T K) and
+    # reconstruct also the zero-diagonal system
     import walkmat.exact
     import walkmat.spectral
     from walkmat.spectral import (kernel_projector_from_walk,
@@ -292,11 +293,11 @@ def test_one_analysis_per_walk_matrix(monkeypatch, paw, paw_sets):
         return len(calls)
 
     for w, offset in ((full, 0), (n1, 1), (n2, 2)):
-        assert count(summary_from_walk, w) == (2 if offset == 0 else 1)
-        assert count(restriction_from_walk, w) == 2
+        assert count(summary_from_walk, w) == 1
+        assert count(restriction_from_walk, w) == (1 if offset == 0 else 2)
         assert count(lambda w: reconstruct(ReconstructionInput(w)), w) == \
-            (2 if offset == 0 else 3)
-        assert count(realize_from_walk, w) == 2
+            (1 if offset == 0 else 3)
+        assert count(realize_from_walk, w) == (1 if offset == 0 else 2)
         # at rank n, ker W^T is trivial and the projector needs no solve
         assert count(kernel_projector_from_walk, w) == \
             (1 if offset == 0 else 2)

@@ -220,12 +220,43 @@ def test_analysis_kernel_is_the_null_space_basis_of_w_transpose(seed):
 
 
 def test_full_rank_branch_at_n16():
-    # walk entries reach ~15^15 here; the Hankel route must stay exact
+    # walk entries reach ~15^15 here; the pivot-row route must stay exact
     rng = SplitMix64(777)
     g = random_graph(16, rng)
     w = walk_matrix(g, VertexSet.full(16))
     if rank(w.w) == 16:
         assert summary_from_walk(w).char_poly == char_poly(g.adjacency)
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_full_rank_branch_at_large_n(n):
+    # the pivot-row route against Faddeev-LeVerrier (`char_poly`), which
+    # shares no code with it, on the first full-rank G(n, 1/2) by seed
+    for seed in range(20):
+        g = random_graph(n, SplitMix64(seed))
+        w = walk_matrix(g, VertexSet.full(n))
+        if rank(w.w) == n:
+            break
+    else:
+        raise AssertionError(f"no full-rank G({n}, 1/2) in 20 seeds")
+    assert summary_from_walk(w).char_poly == char_poly(g.adjacency)
+
+
+def test_full_rank_non_walk_matrix_fails_the_hankel_equations():
+    # no graph has this full-rank matrix (found by a seeded search over
+    # 4 x 4 matrices with first column e and entries below 6): its
+    # pivot-row polynomial x^4 + 493 x^2 - 102 x - 1833 is integral, so
+    # only the walk-number recurrence sum_i c_i N_{i+j} + N_{n+j} = 0
+    # rejects it
+    from walkmat import ReconstructionInput, WalkMatrix, reconstruct
+    from walkmat.errors import NotAWalkMatrix
+    w = WalkMatrix.from_matrix(ExactMatrix(
+        [[1, 4, 5, 5], [1, 1, 4, 3], [1, 3, 4, 5], [1, 3, 4, 3]]))
+    assert rank(w.w) == 4
+    with pytest.raises(NotAWalkMatrix):
+        summary_from_walk(w)
+    res = reconstruct(ReconstructionInput(w))
+    assert res.status == "undetermined" and res.reason == "not_a_walk_matrix"
 
 
 def test_empty_set_errors(paw):
