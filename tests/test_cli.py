@@ -77,6 +77,27 @@ def test_spectral_numeric(paw_al, tmp_path):
     assert obj["rank"] == 32 and len(obj["mu"]) == 32
 
 
+def test_spectral_numeric_analyses_w_once(paw_al, monkeypatch):
+    # the summary and the realization share one [W | I] elimination: at
+    # rank n (S = {3}) it is the only one, at rank n-1 (S = V) the
+    # realization adds the elimination of [G | K^T], G = K^T K
+    import walkmat.exact
+    import walkmat.spectral
+    calls = []
+    echelon = walkmat.exact._echelon
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return echelon(*args, **kwargs)
+
+    monkeypatch.setattr(walkmat.exact, "_echelon", counted)
+    monkeypatch.setattr(walkmat.spectral, "_echelon", counted)
+    for spec, expected in (("3", 1), ("V", 2)):
+        calls.clear()
+        code, _ = run(["spectral", paw_al, "--set", spec, "--numeric"])
+        assert code == 0 and len(calls) == expected
+
+
 def test_restrict(paw_al):
     code, out = run(["restrict", paw_al, "--set", "3"])
     assert code == 0
