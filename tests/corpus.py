@@ -18,8 +18,8 @@ onto ker W^T, and the realization's main eigenvalues mu; an entry point
 that raises a WalkmatError keeps the error's class name instead.
 `CLI_CASES` are a few command lines per subcommand, run in-process.
 
-The golden file tests/data/corpus_golden.json holds these outputs as one
-tree computed them.  It is written once, by
+The golden file tests/data/corpus_golden.json holds these outputs as they
+were when it was written, once, by
 
     PYTHONPATH=src python tests/corpus.py --write
 
@@ -36,22 +36,17 @@ import json
 import sys
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-if str(HERE) not in sys.path:
-    sys.path.insert(0, str(HERE))
+import refdata
+from walkmat import (ExactMatrix, Graph, ReconstructionInput, SplitMix64,
+                     VertexSet, WalkMatrix, edge_count, emit_graph6,
+                     random_graph, reconstruct, walk_matrix)
+from walkmat.errors import WalkmatError
+from walkmat.oracle import random_nonempty_set
+from walkmat.spectral import (kernel_projector_from_walk, realize_from_walk,
+                              restriction_from_walk, summary_from_walk)
+from walkmat.walk import to_json
 
-import refdata  # noqa: E402
-from walkmat import (ExactMatrix, Graph, ReconstructionInput,  # noqa: E402
-                     SplitMix64, VertexSet, WalkMatrix, edge_count,
-                     emit_graph6, random_graph, reconstruct, walk_matrix)
-from walkmat.errors import WalkmatError  # noqa: E402
-from walkmat.oracle import random_nonempty_set  # noqa: E402
-from walkmat.spectral import (kernel_projector_from_walk,  # noqa: E402
-                              realize_from_walk, restriction_from_walk,
-                              summary_from_walk)
-from walkmat.walk import to_json  # noqa: E402
-
-GOLDEN = HERE / "data" / "corpus_golden.json"
+GOLDEN = Path(__file__).resolve().parent / "data" / "corpus_golden.json"
 MU_TOL = 1e-9
 
 RANDOM_PAIRS = 300
