@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import OrderMismatch, TheoremViolation
-from .exact import ExactMatrix, rank
+from .exact import PRIME, ExactMatrix, _echelon, rank
 from .graphs import Graph, VertexSet
 from .spectral import restriction
 from .walk import WalkMatrix, walk_matrix
@@ -120,7 +120,11 @@ def certify_isomorphism(g1: Graph, s1: VertexSet,
     n = g1.n
     w1 = walk_matrix(g1, s1)
     w2 = walk_matrix(g2, s2)
-    if rank(w1.w) < n - 1:
+    # the rank mod a prime is at most the rank over Q, so only a low one
+    # needs the exact rank
+    rank_p = len(_echelon([w1.w.row(i) for i in range(n)],
+                          modulus=PRIME)[1])
+    if rank_p < n - 1 and rank(w1.w) < n - 1:
         return IsoCertificate(INCONCLUSIVE, reason="rank_too_low")
     l1, l2 = lex_form(w1), lex_form(w2)
     if l1.matrix != l2.matrix:

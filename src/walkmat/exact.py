@@ -1,15 +1,16 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra and its one elimination kernel.
 
-Matrices hold arbitrary-precision rationals, and rank, solve, kernel and
-characteristic polynomial are exact.  This module alone decides how an entry
-is stored: an integer is a Python ``int`` and any other rational a
-``fractions.Fraction`` (aliased ``QQ``), so integer data such as walk and
-adjacency matrices stay ints from input to answer.  All elimination runs
-through one fraction-free Gauss-Jordan loop over Python integers
-(`_echelon`, Bareiss's integer-preserving step): each row is first scaled to
-integers, and only the final answers become ``x / d`` of the last pivot d,
-a Fraction only where d does not divide x.  Pivots are the first non-zero
-entry in input row order, which makes every result deterministic.
+Matrices hold arbitrary-precision rationals, and rank and kernel are exact.
+This module alone decides how an entry is stored: an integer is a Python
+``int`` and any other rational a ``fractions.Fraction`` (aliased ``QQ``), so
+integer data such as walk and adjacency matrices stay ints from input to
+answer.  All elimination runs through one fraction-free Gauss-Jordan loop
+over Python integers (`_echelon`, Bareiss's integer-preserving step): each
+row is first scaled to integers, and only the final answers become
+``x / d`` of the last pivot d, a Fraction only where d does not divide x.
+Pivots are the first non-zero entry in input row order, which makes every
+result deterministic.  The same loop runs modulo a prime (`PRIME`) for
+callers that only need candidates they verify exactly afterwards.
 
 Matrices are immutable values: all operations return fresh matrices, so
 instances are safe to share between threads.
@@ -19,11 +20,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import NonInteger, NoSolution, NonUnique
-
 QQ = Fraction
+
+# the prime of the modular eliminations: below 2^30 every residue is a
+# one-digit CPython int, and p = 3 mod 4 makes a square root mod p one pow
+PRIME = (1 << 30) - 41
 
 Number = int | Fraction
 Vector = tuple[Number, ...]
@@ -41,10 +45,24 @@ def _entry(x) -> Number:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def _ratio(x: int, d: int) -> Number:
-    """x / d in stored form."""
-    q, rem = divmod(x, d)
+def _divmod(x: int, d: int, modulus: int = 0) -> tuple[int, int]:
+    """divmod(x, d); modulo a prime p, (x d^-1 mod p, 0).  A d that is 0
+    (mod p) raises ZeroDivisionError."""
+    if not modulus:
+        return divmod(x, d)
+    if not d % modulus:
+        raise ZeroDivisionError("not invertible modulo the prime")
+    return x * pow(d, -1, modulus) % modulus, 0
+
+
+def _ratio(x: int, d: int, modulus: int = 0) -> Number:
+    """x / d in stored form; modulo a prime, x d^-1 reduced."""
+    q, rem = _divmod(x, d, modulus)
     return Fraction(x, d) if rem else q
+
+
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
 
 
 class ExactMatrix:
@@ -167,8 +185,8 @@ def _integer_rows(grid: Iterable[Sequence]) -> list[list[int]]:
     return out
 
 
-def _echelon(rows: list[list[int]], width: int | None = None
-             ) -> tuple[list[list[int]], list[int], int]:
+def _echelon(rows: list[list[int]], width: int | None = None,
+             modulus: int = 0) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix: returns
     d times its reduced row echelon form, the pivot columns and d, the last
     pivot (1 if none).
@@ -181,8 +199,13 @@ def _echelon(rows: list[list[int]], width: int | None = None
     the output lists the pivot rows in pivot order, then the others in input
     order, each of those d times its input row minus the pivot rows before
     it in the input that it depends on.
+
+    With a prime `modulus` the same loop runs over GF(p) on the input
+    reduced mod p: the pivot row is scaled to 1, so d = 1, and every other
+    row becomes (a[i] - a[i][c] a[p]) mod p on the columns from c on (the
+    pivot row is zero before c).  The output contract is the same.
     """
-    a = list(rows)
+    a = [[x % modulus for x in r] for r in rows] if modulus else list(rows)
     if width is None:
         width = len(a[0]) if a else 0
     rest = list(range(len(a)))  # the rows that are not pivot rows
@@ -192,12 +215,23 @@ def _echelon(rows: list[list[int]], width: int | None = None
         if p is None:
             continue
         ap, pv = a[p], a[p][c]
-        for i, ai in enumerate(a):
-            f = ai[c]
-            if i != p and f:
-                a[i] = [(pv * x - f * y) // d for x, y in zip(ai, ap)]
-            elif i != p and pv != d:
-                a[i] = [pv * x // d for x in ai]
+        if modulus:
+            inv = pow(pv, -1, modulus)
+            ap = a[p] = [x * inv % modulus for x in ap]
+            tail = ap[c:]
+            for i, ai in enumerate(a):
+                f = ai[c]
+                if i != p and f:
+                    a[i] = ai[:c] + [(x - f * y) % modulus
+                                     for x, y in zip(ai[c:], tail)]
+            pv = 1
+        else:
+            for i, ai in enumerate(a):
+                f = ai[c]
+                if i != p and f:
+                    a[i] = [(pv * x - f * y) // d for x, y in zip(ai, ap)]
+                elif i != p and pv != d:
+                    a[i] = [pv * x // d for x in ai]
         rest.remove(p)
         prows.append(p)
         pivots.append(c)
@@ -210,27 +244,25 @@ def rank(m: ExactMatrix) -> int:
     return len(_echelon(_integer_rows(m._entries))[1])
 
 
-def solve(a: ExactMatrix, b: Sequence) -> Vector:
-    """Exact solution of a x = b.
+def _kernel(rows: list[list[int]], modulus: int = 0
+            ) -> tuple[list[list[int]], int]:
+    """d times a basis of the right null space of an integer matrix, and d,
+    the last pivot of `_echelon` (1 modulo a prime).
 
-    Raises NoSolution when inconsistent and NonUnique when underdetermined.
+    Deterministic: free columns are taken in increasing order, and the
+    vector of free column f is d at f, -row[f] at the pivot column of each
+    pivot row and 0 elsewhere.
     """
-    return solve_matrix(a, ExactMatrix([[x] for x in b])).col(0)
-
-
-def solve_matrix(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact solution X of a X = b (multiple right-hand sides at once), from
-    one elimination of [a | b]."""
-    if b.rows != a.rows:
-        raise ValueError("shape mismatch")
-    rows, pivots, d = _echelon(_integer_rows(
-        ra + rb for ra, rb in zip(a._entries, b._entries)))
-    n = a.cols
-    if pivots and pivots[-1] >= n:
-        raise NoSolution("inconsistent system")
-    if len(pivots) < n:
-        raise NonUnique("underdetermined system")
-    return ExactMatrix([[_ratio(x, d) for x in row[n:]] for row in rows[:n]])
+    rows, pivots, d = _echelon(rows, modulus=modulus)
+    width = len(rows[0]) if rows else 0
+    basis = []
+    for f in sorted(set(range(width)) - set(pivots)):
+        v = [0] * width
+        v[f] = d
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    return basis, d
 
 
 def kernel_basis(m: ExactMatrix) -> list[Vector]:
@@ -239,15 +271,8 @@ def kernel_basis(m: ExactMatrix) -> list[Vector]:
     Deterministic: free variables are taken in increasing column order and the
     standard back-substituted basis vector is emitted for each.
     """
-    rows, pivots, d = _echelon(_integer_rows(m._entries))
-    basis = []
-    for f in sorted(set(range(m.cols)) - set(pivots)):
-        v = [0] * m.cols
-        v[f] = 1
-        for row, c in zip(rows, pivots):
-            v[c] = _ratio(-row[f], d)
-        basis.append(tuple(v))
-    return basis
+    basis, d = _kernel(_integer_rows(m._entries))
+    return [tuple(_ratio(x, d) for x in v) for v in basis]
 
 
 class IntPolynomial:
@@ -314,51 +339,3 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
-
-
-def poly_divides(p: IntPolynomial, q: IntPolynomial) -> bool:
-    """True iff p divides q exactly (zero remainder, division over Q[x])."""
-    if p.is_zero():
-        raise ValueError("division by the zero polynomial")
-    if q.is_zero():
-        return True
-    if q.degree < p.degree:
-        return False
-    rem = [QQ(c) for c in q.coeffs]
-    pc = [QQ(c) for c in p.coeffs]
-    lead = pc[-1]
-    for top in range(len(rem) - 1, p.degree - 1, -1):
-        f = rem[top] / lead
-        if f == 0:
-            continue
-        off = top - p.degree
-        for i, c in enumerate(pc):
-            rem[off + i] -= f * c
-    return all(c == 0 for c in rem[:p.degree])
-
-
-def char_poly(a: ExactMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial of an integer matrix, exactly.
-
-    Faddeev-LeVerrier recurrence in pure integer arithmetic; the division of
-    the k-th trace by k is exact for integer matrices and is checked.
-    """
-    if not a.is_square():
-        raise ValueError("matrix must be square")
-    if not a.is_integer():
-        raise NonInteger("char_poly needs integer entries")
-    n, grid = a.rows, a._entries
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    coeffs = [1]  # leading coefficient, descending order
-    for k in range(1, n + 1):
-        am = [[sum(grid[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        tr = sum(am[i][i] for i in range(n))
-        # exact for integer matrices: the k-th trace is divisible by k
-        ck, rem = divmod(-tr, k)
-        if rem:
-            raise NonInteger("characteristic polynomial not integral")
-        coeffs.append(ck)
-        m = [[am[i][j] + (ck if i == j else 0) for j in range(n)]
-             for i in range(n)]
-    return IntPolynomial(list(reversed(coeffs)))

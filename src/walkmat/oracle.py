@@ -1,7 +1,9 @@
 """Independent brute-force verifiers and statistical harnesses.
 
 Everything here cross-checks the algebraic modules by a different route:
-walk counting by integer matrix powers (no neighbour lists),
+the main polynomial by a linear solve on A^r e and the characteristic
+polynomial by Faddeev-LeVerrier, walk counting by integer matrix powers (no
+neighbour lists),
 isomorphism by backtracking search, rank by counting non-perpendicular
 eigenspace projections, and reconstruction by exhaustive enumeration of
 small graphs.
@@ -19,11 +21,12 @@ import json
 from dataclasses import dataclass
 
 from .canonical import lex_form
-from .errors import EmptySet, TooLarge
-from .exact import rank
+from .errors import EmptySet, NonInteger, NonUnique, NoSolution, TooLarge
+from .exact import (QQ, ExactMatrix, IntPolynomial, Vector, _echelon,
+                    _integer_rows, _ratio, rank)
 from .graphs import Graph, VertexSet, degree_sequence, emit_graph6
 from .reconstruct import ReconstructionInput, reconstruct
-from .walk import walk_matrix
+from .walk import walk_matrix, walk_slice
 
 _M64 = (1 << 64) - 1
 
@@ -78,6 +81,93 @@ def random_nonempty_set(n: int, rng: SplitMix64) -> VertexSet:
         members = tuple(i + 1 for i in range(n) if rng.next_bit())
         if members:
             return VertexSet(n, members)
+
+
+# --- exact cross-checks: solve, characteristic polynomial ---
+
+def solve(a: ExactMatrix, b) -> Vector:
+    """Exact solution of a x = b.
+
+    Raises NoSolution when inconsistent and NonUnique when underdetermined.
+    """
+    return solve_matrix(a, ExactMatrix([[x] for x in b])).col(0)
+
+
+def solve_matrix(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Exact solution X of a X = b (multiple right-hand sides at once), from
+    one elimination of [a | b]."""
+    if b.rows != a.rows:
+        raise ValueError("shape mismatch")
+    rows, pivots, d = _echelon(_integer_rows(
+        ra + rb for ra, rb in zip(a._entries, b._entries)))
+    n = a.cols
+    if pivots and pivots[-1] >= n:
+        raise NoSolution("inconsistent system")
+    if len(pivots) < n:
+        raise NonUnique("underdetermined system")
+    return ExactMatrix([[_ratio(x, d) for x in row[n:]] for row in rows[:n]])
+
+
+def poly_divides(p: IntPolynomial, q: IntPolynomial) -> bool:
+    """True iff p divides q exactly (zero remainder, division over Q[x])."""
+    if p.is_zero():
+        raise ValueError("division by the zero polynomial")
+    if q.is_zero():
+        return True
+    if q.degree < p.degree:
+        return False
+    rem = [QQ(c) for c in q.coeffs]
+    pc = [QQ(c) for c in p.coeffs]
+    lead = pc[-1]
+    for top in range(len(rem) - 1, p.degree - 1, -1):
+        f = rem[top] / lead
+        if f == 0:
+            continue
+        off = top - p.degree
+        for i, c in enumerate(pc):
+            rem[off + i] -= f * c
+    return all(c == 0 for c in rem[:p.degree])
+
+
+def char_poly(a: ExactMatrix) -> IntPolynomial:
+    """Monic characteristic polynomial of an integer matrix, exactly.
+
+    Faddeev-LeVerrier recurrence in pure integer arithmetic; the division of
+    the k-th trace by k is exact for integer matrices and is checked.
+    """
+    if not a.is_square():
+        raise ValueError("matrix must be square")
+    if not a.is_integer():
+        raise NonInteger("char_poly needs integer entries")
+    n, grid = a.rows, a._entries
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    coeffs = [1]  # leading coefficient, descending order
+    for k in range(1, n + 1):
+        am = [[sum(grid[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
+        tr = sum(am[i][i] for i in range(n))
+        # exact for integer matrices: the k-th trace is divisible by k
+        ck, rem = divmod(-tr, k)
+        if rem:
+            raise NonInteger("characteristic polynomial not integral")
+        coeffs.append(ck)
+        m = [[am[i][j] + (ck if i == j else 0) for j in range(n)]
+             for i in range(n)]
+    return IntPolynomial(list(reversed(coeffs)))
+
+
+def main_poly_via_dependence(g: Graph, s: VertexSet) -> IntPolynomial:
+    """Main polynomial from the A^r e dependence, for any rank.
+
+    At full rank this uses the extra column A^n e from the graph, giving an
+    independent route to cross-check the pivot-row branch
+    (`spectral._char_from_pivots`), which never sees A^n e.
+    """
+    w = walk_matrix(g, s)
+    r = rank(w.w)
+    sl = walk_slice(g, s, 0, r).m
+    f = solve(sl.take_cols(range(r)), sl.col(r))
+    return IntPolynomial([-x for x in f] + [1])
 
 
 # --- walk counting oracle ---

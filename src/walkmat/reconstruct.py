@@ -17,10 +17,33 @@ A-invariant, so A acts on it as K S K^T.
   most two rational roots.
 
 This is the constructive form of "W determines A at rank n and n-1 and
-allows at most two graphs at rank n-2".  All arithmetic is exact and every
-candidate regenerates W exactly before it is returned.  r < n-2 is
-undetermined (the theory provides counterexamples); so is a W that no graph
-has (not_a_walk_matrix) and one whose candidates all fail.
+allows at most two graphs at rank n-2".  Every candidate regenerates W
+exactly before it is returned.  r < n-2 is undetermined (the theory
+provides counterexamples); so is a W that no graph has (not_a_walk_matrix)
+and one whose candidates all fail.
+
+`reconstruct` first runs the same formulas modulo the prime p = PRIME: one
+elimination of [W | I] over GF(p), and every division by an inverse mod p.
+A candidate's residues lift to a 0/1 matrix when they are all 0 or 1, and
+the candidate is kept only if that matrix passes the exact
+`verify_candidate` and, at rank_p = n-2, has m edges.  Exactly one kept
+graph is the whole answer:
+
+* rank_Q >= rank_p, since a minor that is non-zero mod p is non-zero.
+* If rank_Q > rank_p >= n-2, then rank_Q >= n-1, where W determines A: the
+  verified graph is the only one.
+* If rank_Q = rank_p, the saturated integer basis of ker W^T reduces onto
+  ker_p W^T, which every graph with this W leaves invariant mod p.  Every
+  such graph therefore reduces mod p to A_W + K S K^T with S on the same
+  zero-diagonal system and the same edge-count quadratic mod p, that is, to
+  one of the enumerated candidates, and lifting recovers it exactly.  A
+  second graph would have been found too.
+
+Every other outcome runs the exact path unchanged: no or two verified
+graphs (the exact path fixes a pair's order), rank_p < n-2, pivots other
+than 0..r-1 mod p, a divisor that is 0 mod p (t.t at rank n, K^T K, or
+2 qa on a line), more than a line of S, and rank_p = n-2 with no edge
+count.  So every undetermined reason and every error is the exact path's.
 """
 
 from __future__ import annotations
@@ -31,8 +54,9 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import (CandidateNotGraph, MissingEdgeCount,
-                     NegativeDiscriminant, NotAWalkMatrix, WalkmatError)
-from .exact import QQ, ExactMatrix, Number, kernel_basis
+                     NegativeDiscriminant, NonUnique, NotAWalkMatrix,
+                     WalkmatError)
+from .exact import PRIME, ExactMatrix, _dot, _kernel, _ratio
 from .graphs import Graph, edge_count, emit_graph6
 from .spectral import _Analysis, _analyse, _restriction, _summary
 from .walk import WalkMatrix
@@ -93,65 +117,85 @@ def verify_candidate(a: ExactMatrix, w: WalkMatrix) -> bool:
     return True
 
 
-def _symmetric(d: int, upper) -> ExactMatrix:
+def _symmetric(d: int, upper) -> list[list[int]]:
     """The symmetric d x d matrix whose upper triangle, row by row, is upper."""
     s = [[0] * d for _ in range(d)]
     it = iter(upper)
     for a in range(d):
         for b in range(a, d):
             s[a][b] = s[b][a] = next(it)
-    return ExactMatrix(s)
+    return s
 
 
-def _trace(x: ExactMatrix) -> Number:
-    return sum(x[i, i] for i in range(x.rows))
+def _trace_of_product(x, y) -> int:
+    return sum(_dot(row, col) for row, col in zip(x, zip(*y)))
 
 
-def _rational_sqrt(q: Number) -> QQ | None:
-    if q < 0:
+def _sqrt(x: int, modulus: int = 0) -> int | None:
+    """A square root of x, None if it has none: over Q the root of an
+    integer square; modulo a prime p = 3 mod 4, x^((p+1)/4)."""
+    if modulus:
+        root = pow(x, (modulus + 1) // 4, modulus)
+        return root if (root * root - x) % modulus == 0 else None
+    if x < 0:
         return None
-    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if num * num != q.numerator or den * den != q.denominator:
-        return None
-    return QQ(num, den)
+    root = math.isqrt(x)
+    return root if root * root == x else None
 
 
-def _kernel_parts(kt: ExactMatrix, a_w: ExactMatrix,
-                  m: int | None) -> list[ExactMatrix]:
-    """Every S giving A_W + K S K^T a zero diagonal; on a line of such S,
-    only the points where ||A||_F^2 = 2m.  kt is K^T."""
-    d, n = kt.shape
-    # diagonal entry i is a_w[i,i] + sum_{a<=b} (1 or 2) K[i,a] K[i,b] S[a,b],
-    # so each solution S is a kernel vector (upper triangle of S, 1) of these
-    # rows
-    rows = [[(1 if a == b else 2) * kt[a, i] * kt[b, i]
-             for a in range(d) for b in range(a, d)] + [a_w[i, i]]
-            for i in range(n)]
-    # kernel_basis sets one free variable to 1 in each vector, the last
-    # column last, so only a consistent system ends in a vector (s0, 1)
-    basis = kernel_basis(ExactMatrix(rows))
-    if not basis or basis[-1][-1] != 1:
+def _kernel_parts(kt, num: list[list[int]], den: int, m: int | None,
+                  modulus: int = 0) -> list[tuple[list[list[int]], int]]:
+    """Every A = A_W + K S K^T with a zero diagonal, as integer rows over a
+    denominator; on a line of such S, only the points where ||A||_F^2 = 2m.
+    A_W is num / den and kt is K^T; with a prime modulus each quotient is
+    meant mod p."""
+    k = len(kt)
+    kcols = list(zip(*kt))  # the rows of K
+    pairs = [(a, b) for a in range(k) for b in range(a, k)]
+    # den times diagonal entry i is num[i][i] + den sum_{a<=b} (1 or 2)
+    # K[i,a] K[i,b] S[a,b], so each solution S is a kernel vector (upper
+    # triangle of S, 1) of these rows
+    rows = [[den * (1 if a == b else 2) * ki[a] * ki[b] for a, b in pairs]
+            + [num[i][i]] for i, ki in enumerate(kcols)]
+    # _kernel gives each free column a vector, e there, the last column
+    # last, so only a consistent system ends in a vector e (S_0, 1)
+    basis, e = _kernel(rows, modulus)
+    if not basis or basis[-1][-1] != e:
         return []
-    s0 = _symmetric(d, basis[-1][:-1])
+    u = _symmetric(k, basis[-1])  # e S_0
     if len(basis) == 1:
-        return [s0]
-    # K has full column rank: at d = 1 the one unknown is fixed, at d = 2 two
-    # non-parallel rows of K give independent equations, so what is left is
-    # at most a line S = s0 + t step, and only at r = n-2, where m is known
-    (line,) = basis[:-1]
-    step = _symmetric(d, line[:-1])
-    g = kt * kt.transpose()
-    x0, y = s0 * g, step * g
-    # ||A_W||_F^2 + tr((x0 + t y)^2) = 2m, i.e. qa t^2 + qb t + qc = 0, with
-    # qa = tr((step G)^2) > 0 because G = K^T K is positive definite
-    qa, qb = _trace(y * y), 2 * _trace(x0 * y)
-    qc = (_trace(x0 * x0) - 2 * m
-          + sum(x * x for i in range(n) for x in a_w.row(i)))
-    root = _rational_sqrt(qb * qb - 4 * qa * qc)
-    if root is None:
-        return []
-    ts = dict.fromkeys(((-qb + root) / (2 * qa), (-qb - root) / (2 * qa)))
-    return [s0 + t * step for t in ts]
+        parts = [(u, e)]
+    elif len(basis) == 2:
+        # K has full column rank: at k = 1 the one unknown is fixed, at
+        # k = 2 two non-parallel rows of K give independent equations, so
+        # what is left is at most a line S = (u + t v) / e, and only at
+        # r = n-2, where m is known
+        v = _symmetric(k, basis[0])
+        g = [[_dot(ka, kb) for kb in kt] for ka in kt]  # G = K^T K
+        x0 = [[_dot(row, gc) for gc in g] for row in u]  # G is symmetric
+        y = [[_dot(row, gc) for gc in g] for row in v]
+        # (e den)^2 (||A||_F^2 - 2m) = qa t^2 + qb t + qc, as A_W K = 0 and
+        # ||A_W||_F^2 = ||num||_F^2 / den^2; qa > 0 as G is positive definite
+        qa = den * den * _trace_of_product(y, y)
+        qb = 2 * den * den * _trace_of_product(x0, y)
+        qc = den * den * _trace_of_product(x0, x0) + e * e * (
+            sum(_dot(row, row) for row in num) - 2 * m * den * den)
+        root = _sqrt(qb * qb - 4 * qa * qc, modulus)
+        if root is None:
+            return []
+        # t = tau / (2 qa), so S = (2 qa u + tau v) / (2 qa e)
+        parts = [([[2 * qa * x + tau * z for x, z in zip(ur, vr)]
+                   for ur, vr in zip(u, v)], 2 * qa * e)
+                 for tau in dict.fromkeys((-qb + root, -qb - root))]
+    else:
+        raise NonUnique("the zero diagonal leaves more than a line of S")
+    # A = num / den + K (s / f) K^T = (f num + den K s K^T) / (den f)
+    out = []
+    for s, f in parts:
+        skt = list(zip(*([_dot(row, kc) for kc in kcols] for row in s)))
+        out.append(([[f * x + den * _dot(ki, c) for x, c in zip(nrow, skt)]
+                     for nrow, ki in zip(num, kcols)], den * f))
+    return out
 
 
 def _reconstruct(analysis: _Analysis,
@@ -159,26 +203,28 @@ def _reconstruct(analysis: _Analysis,
     """Every graph A = A_W + K S K^T that regenerates the analysed W, at
     rank r >= n-2; m is the edge count, given exactly when r = n-2.
 
-    Raises NotAWalkMatrix when W is visibly not a walk matrix.
+    Raises NotAWalkMatrix when W is visibly not a walk matrix.  On an
+    analysis mod a prime the candidates are residues, kept only when they
+    are 0/1 and pass the same exact verification; a division by a residue
+    0 raises ZeroDivisionError.
     """
-    w = analysis.w
+    w, p = analysis.w, analysis.modulus
     summary = _summary(analysis)
-    if m is not None:
+    if m is not None and not p:
         # the two non-main eigenvalues are real only if d >= 0
         a2, a1 = ((0, 0) + summary.main_poly.coeffs)[-3:-1]
         d = 4 * (a2 + m) - 3 * a1 * a1
         if d < 0:
             raise NegativeDiscriminant(
                 f"discriminant {d} < 0; not a genuine walk matrix")
-    a_w = _restriction(analysis, summary)
+    num, den = _restriction(analysis, summary)
     if analysis.kernel:
-        kt = ExactMatrix(analysis.kernel)
-        candidates = [a_w + kt.transpose() * s * kt
-                      for s in _kernel_parts(kt, a_w, m)]
+        candidates = _kernel_parts(analysis.kernel, num, den, m, p)
     else:
-        candidates = [a_w]
+        candidates = [(num, den)]
     graphs = []
-    for a in candidates:
+    for rows, f in candidates:
+        a = ExactMatrix([[_ratio(x, f, p) for x in row] for row in rows])
         if verify_candidate(a, w):
             g = Graph(w.n, tuple(a.row(i) for i in range(w.n)))
             # the edge count is part of the input at rank n-2
@@ -189,6 +235,20 @@ def _reconstruct(analysis: _Analysis,
     if len(graphs) == 1:
         return ReconstructionResult.unique(graphs[0])
     return ReconstructionResult.pair(*graphs)
+
+
+def _modular_graph(w: WalkMatrix, hint: int | None) -> Graph | None:
+    """The one graph the pipeline mod PRIME finds and verifies, or None,
+    which leaves the call to the exact path (module docstring)."""
+    analysis = _analyse(w, PRIME)
+    if analysis.r < w.n - 2:
+        return None
+    try:
+        m = _edge_count(w, hint) if analysis.r == w.n - 2 else None
+        res = _reconstruct(analysis, m)
+    except (WalkmatError, ZeroDivisionError):
+        return None
+    return res.graphs[0] if res.status == "unique" else None
 
 
 def _unique_graph(w: WalkMatrix, r: int, wrong_rank: str) -> Graph:
@@ -245,8 +305,12 @@ def derive_edge_count(w: WalkMatrix) -> int | None:
 
 
 def reconstruct(inp: ReconstructionInput) -> ReconstructionResult:
-    """Dispatch on rank; every returned graph regenerates W exactly."""
+    """The one graph found mod PRIME, or else the exact path's answer
+    (module docstring); every returned graph regenerates W exactly."""
     w = inp.w
+    g = _modular_graph(w, inp.edge_count_hint)
+    if g is not None:
+        return ReconstructionResult.unique(g)
     analysis = _analyse(w)
     r = analysis.r
     if r < w.n - 2:

@@ -15,7 +15,9 @@ T W_[0,r-1] = d I_r (at r = n, T = d W^-1).  By r:
 The restriction A_W = W_[1,r] W^+ is then a product: with B = W_[1,r] T and
 G = K^T K, A_W = (B - B K G^-1 K^T) / d, the only further elimination being
 the small one of [G | K^T] (none at r = n).  All of it runs on Python ints;
-only the answer is divided, once.
+only the answer is divided, once.  The same code runs modulo a prime when
+the analysis is (`_analyse(w, modulus)`): d = 1, each division is by an
+inverse mod p, and one that does not exist raises ZeroDivisionError.
 
 The exact layer never represents irrational eigenvalues: it carries the main
 polynomial.  The numeric realization W = E M (main eigenvalues mu, their
@@ -31,12 +33,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import NotAWalkMatrix, RealizationFailed
-from .exact import ExactMatrix, IntPolynomial, _echelon, _ratio, rank, solve
+# rank is unused here but stays bound: bench/test_bench.py checks that the
+# tracer restores walkmat.spectral.rank
+from .exact import (ExactMatrix, IntPolynomial, _divmod, _dot, _echelon,
+                    _ratio, rank)  # noqa: F401
 from .graphs import Graph, VertexSet
-from .walk import WalkMatrix, walk_matrix, walk_slice
+from .walk import WalkMatrix, walk_matrix
 
 # E*M = W and related float identities are checked at REALIZE_CHECK_TOL
 REALIZE_CHECK_TOL = 1e-8
@@ -84,20 +88,25 @@ class _Analysis:
     kernel: tuple[tuple[int, ...], ...]  # primitive integer basis of ker W^T
     t: tuple[tuple[int, ...], ...]  # r x n: T W_[0,r-1] = d I_r when genuine
     d: int  # the last pivot
+    modulus: int = 0  # a prime when every number above is a residue mod it
 
 
-def _analyse(w: WalkMatrix) -> _Analysis:
+def _analyse(w: WalkMatrix, modulus: int = 0) -> _Analysis:
     """One fraction-free elimination of [W | I_n], pivoting in W's columns.
 
     The W-part ends as d times the reduced row echelon form of W.  Each row
     past r is zero there, and its I-part is a vanishing combination of rows
     of W: d at its own vertex v minus the pivot rows before v that row v
     depends on.  These n - r rows are a basis of ker W^T.
+
+    With a prime `modulus` the elimination runs over GF(p) (d = 1) and
+    everything is the same but mod p: r is then the rank mod p, at most
+    the rank over Q, and the polynomial's coefficients are residues.
     """
     n = w.n
     rows = [list(w.w.row(v)) + [int(u == v) for u in range(n)]
             for v in range(n)]
-    rows, pivots, d = _echelon(rows, n)
+    rows, pivots, d = _echelon(rows, n, modulus)
     r = len(pivots)
     # a kernel row has d at its own vertex: dividing by the gcd, with the
     # sign of d, leaves the primitive vector that is positive there
@@ -109,11 +118,7 @@ def _analyse(w: WalkMatrix) -> _Analysis:
             and all(row[r] % d == 0 for row in rows[:r])):
         main_poly = IntPolynomial([-row[r] // d for row in rows[:r]] + [1])
     return _Analysis(w, r, main_poly, kernel,
-                     tuple(tuple(row[n:]) for row in rows[:r]), d)
-
-
-def _dot(x, y) -> int:
-    return sum(map(mul, x, y))
+                     tuple(tuple(row[n:]) for row in rows[:r]), d, modulus)
 
 
 def _char_from_pivots(a: _Analysis) -> IntPolynomial:
@@ -124,19 +129,24 @@ def _char_from_pivots(a: _Analysis) -> IntPolynomial:
     unknown t = N_{2n-1}, and c_{n-1} = -T_{n-1}.A^n e / d = 0 fixes t.  A W
     that no graph has shows as a t, A^n e or c that is not integral, or as
     a c that misses the Hankel equations sum_i c_i N_{i+j} + N_{n+j} = 0,
-    j < n-1, which every walk matrix satisfies.
+    j < n-1, which every walk matrix satisfies.  Modulo a prime every
+    division is by an inverse, and one that does not exist raises
+    ZeroDivisionError.
     """
-    w, t, d = a.w, a.t, a.d
+    w, t, d, p = a.w, a.t, a.d, a.modulus
     n = w.n
     cols = [w.w.col(k) for k in range(n)]
     walks = [_dot(cols[k // 2], cols[k - k // 2]) for k in range(2 * n - 1)]
+    if p:
+        walks = [x % p for x in walks]
     tv = [_dot(walks[n:], tc) for tc in zip(*t)]  # T^T v
-    top, rem = divmod(-_dot(t[-1], tv), _dot(t[-1], t[-1]))
-    ane, rems = zip(*(divmod(x + top * y, d) for x, y in zip(tv, t[-1])))
-    c, crems = zip(*(divmod(-_dot(row, ane), d) for row in t))
+    top, rem = _divmod(-_dot(t[-1], tv), _dot(t[-1], t[-1]), p)
+    ane, rems = zip(*(_divmod(x + top * y, d, p) for x, y in zip(tv, t[-1])))
+    c, crems = zip(*(_divmod(-_dot(row, ane), d, p) for row in t))
     c += (1,)
+    hankel = (_dot(c, walks[j:j + n + 1]) for j in range(n - 1))
     if rem or any(rems) or any(crems) or any(
-            _dot(c, walks[j:j + n + 1]) for j in range(n - 1)):
+            x % p if p else x for x in hankel):
         raise NotAWalkMatrix("recovered polynomial is not integral or misses "
                              "the walk-number recurrence; input is not a "
                              "genuine walk matrix")
@@ -164,65 +174,67 @@ def spectral_summary(g: Graph, s: VertexSet) -> SpectralSummary:
     return summary_from_walk(walk_matrix(g, s))
 
 
-def main_poly_via_dependence(g: Graph, s: VertexSet) -> IntPolynomial:
-    """Main polynomial from the A^r e dependence, for any rank.
-
-    At full rank this uses the extra column A^n e from the graph, giving an
-    independent route to cross-check the pivot-row branch
-    (`_char_from_pivots`), which never sees A^n e.
-    """
-    w = walk_matrix(g, s)
-    r = rank(w.w)
-    sl = walk_slice(g, s, 0, r).m
-    f = solve(sl.take_cols(range(r)), sl.col(r))
-    return IntPolynomial([-x for x in f] + [1])
-
-
-def _gram_solve(kt, n: int) -> tuple[list[tuple[int, ...]], int]:
+def _gram_solve(kt, n: int, modulus: int = 0
+                ) -> tuple[list[tuple[int, ...]], int]:
     """The n columns of X = dg G^-1 K^T (G = K^T K, kt = K^T) and dg, from
-    one elimination of [G | K^T]; empty columns and dg = 1 when K is."""
+    one elimination of [G | K^T]; empty columns and dg = 1 when K is.
+
+    G is positive definite over Q; modulo a prime it can be singular, and
+    then ZeroDivisionError is raised.
+    """
     k = len(kt)
-    rows, _, dg = _echelon([[_dot(ki, kj) for kj in kt] + list(ki)
-                            for ki in kt], k) if kt else ([], [], 1)
+    if not kt:
+        return [()] * n, 1
+    rows, pivots, dg = _echelon([[_dot(ki, kj) for kj in kt] + list(ki)
+                                 for ki in kt], k, modulus)
+    if len(pivots) < k:
+        raise ZeroDivisionError("K^T K is singular modulo the prime")
     return [tuple(row[k + u] for row in rows) for u in range(n)], dg
 
 
 def _restriction(a: _Analysis, summary: SpectralSummary | None = None,
-                 shift: int = 0) -> ExactMatrix:
-    """A_W - shift P_K: A_W = W_[1,r] W^+ (W^+ the pseudo-inverse of
-    W_[0,r-1]), and P_K = K G^-1 K^T (G = K^T K) projects onto ker W^T.
+                 shift: int = 0) -> tuple[list[list[int]], int]:
+    """A_W - shift P_K as integer rows over one common denominator:
+    A_W = W_[1,r] W^+ (W^+ the pseudo-inverse of W_[0,r-1]), and
+    P_K = K G^-1 K^T (G = K^T K) projects onto ker W^T.
 
     With B = W_[1,r] T, B / d maps W_[0,r-1] to W_[1,r], and I - P_K fixes
     the column space of W and sends K to 0, so A_W = B (I - P_K) / d and
     A_W - shift P_K = (dg B - (B K + shift d K) X) / (d dg) with
-    X = dg G^-1 K^T from `_gram_solve`, all in ints until that one
-    division.  At r = n, K is empty, A^n e comes from the characteristic
-    recurrence and A_W = A.  The summary (NotAWalkMatrix unless the pivots
-    are 0..r-1) is the analysis's, when the caller already has it.
+    X = dg G^-1 K^T from `_gram_solve`: the rows returned are that
+    numerator, the denominator d dg.  At r = n, K is empty, A^n e comes
+    from the characteristic recurrence and A_W = A.  The summary
+    (NotAWalkMatrix unless the pivots are 0..r-1) is the analysis's, when
+    the caller already has it.  Modulo a prime the numerator is a residue
+    only after its division.
     """
     summary = summary or _summary(a)
-    w, r, d, kt = a.w, a.r, a.d, a.kernel
+    w, r, d, kt, p = a.w, a.r, a.d, a.kernel, a.modulus
     n = w.n
-    upper = [w.w.row(v)[1:r + 1] for v in range(n)]
+    rows = [w.w.row(v) for v in range(n)]
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    upper = [list(row[1:r + 1]) for row in rows]
     if r == n:
         # A^n e = -sum_i c_i A^i e, c the characteristic polynomial
         cs = summary.char_poly.coeffs
-        upper = [row + (-_dot(cs, w.w.row(v)),)
-                 for v, row in enumerate(upper)]
+        for row, wrow in zip(upper, rows):
+            row.append(-_dot(cs, wrow))
     tcols = list(zip(*a.t))
     b = [[_dot(row, tc) for tc in tcols] for row in upper]
-    xcols, dg = _gram_solve(kt, n)
+    xcols, dg = _gram_solve(kt, n, p)
     out = []
     for v, bv in enumerate(b):
         cv = [_dot(bv, kj) + shift * d * kj[v] for kj in kt]
-        out.append([_ratio(dg * y - _dot(cv, xc), d * dg)
-                    for y, xc in zip(bv, xcols)])
-    return ExactMatrix(out)
+        out.append([dg * y - _dot(cv, xc) for y, xc in zip(bv, xcols)])
+    return out, d * dg
 
 
 def restriction_from_walk(w: WalkMatrix) -> Restriction:
     """A_W = W_[1,r] W^+, exact (W^+ the pseudo-inverse of W_[0,r-1])."""
-    return Restriction(_restriction(_analyse(w)))
+    rows, den = _restriction(_analyse(w))
+    return Restriction(ExactMatrix([[_ratio(x, den) for x in row]
+                                    for row in rows]))
 
 
 def restriction(g: Graph, s: VertexSet) -> Restriction:
@@ -261,8 +273,9 @@ def _realize(a: _Analysis, summary: SpectralSummary | None = None
     import numpy as np
 
     w, r, n = a.w, a.r, a.w.n
-    shifted = _restriction(a, summary, shift=n)
-    vals, vecs = np.linalg.eigh(np.array(shifted.to_float_rows()))
+    shifted, den = _restriction(a, summary, shift=n)
+    vals, vecs = np.linalg.eigh(np.array([[x / den for x in row]
+                                          for row in shifted]))
     mu, v = vals[n - r:], vecs[:, n - r:]
     e_char = np.array([float(x) for x in w.vertex_set.characteristic])
     vec = v * (v.T @ e_char)

@@ -126,6 +126,43 @@ def test_certify_inconclusive_low_rank():
     assert cert.verdict == INCONCLUSIVE and cert.reason == "rank_too_low"
 
 
+def test_rank_gate_takes_the_exact_rank_only_below_n_minus_1(monkeypatch):
+    # a rank mod p of n-1 or more proves rank >= n-1; the exact rank is
+    # computed only when the rank mod p is lower, and with a prime as small
+    # as 3 that happens often without changing a verdict
+    import walkmat.canonical
+    exact_ranks = []
+    exact_rank = walkmat.canonical.rank
+
+    def counted(m):
+        exact_ranks.append(m)
+        return exact_rank(m)
+
+    monkeypatch.setattr(walkmat.canonical, "rank", counted)
+    cases = [(parse_graph6(refdata.MATES7_G6), VertexSet.full(7),
+              parse_graph6(refdata.MATES7_G6_STAR), VertexSet.full(7))]
+    for seed in range(60):
+        rng = SplitMix64(seed)
+        n = 3 + rng.below(7)
+        g = random_graph(n, rng)
+        s = random_nonempty_set(n, rng)
+        h = g.relabel(list(reversed(range(n)))) if seed % 2 else \
+            random_graph(n, rng)
+        cases.append((g, s, h, s if seed % 3 else random_nonempty_set(n, rng)))
+    verdicts = []
+    for case in cases:
+        exact_ranks.clear()
+        verdicts.append(certify_isomorphism(*case))
+        low = rank(walk_matrix(case[0], case[1]).w) < case[0].n - 1
+        assert (verdicts[-1].reason == "rank_too_low") == low
+        if not low:
+            assert exact_ranks == []
+    assert {v.verdict for v in verdicts} >= {INCONCLUSIVE, ISOMORPHIC,
+                                             NOT_ISOMORPHIC}
+    monkeypatch.setattr(walkmat.canonical, "PRIME", 3)
+    assert [certify_isomorphism(*case) for case in cases] == verdicts
+
+
 def test_certify_order_mismatch(paw):
     with pytest.raises(OrderMismatch):
         certify_isomorphism(paw, VertexSet.full(4),

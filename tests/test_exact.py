@@ -11,7 +11,8 @@ import refdata
 from walkmat import (ExactMatrix, IntPolynomial, char_poly, kernel_basis,
                      poly_divides, rank, solve)
 from walkmat.errors import NonInteger, NoSolution, NonUnique
-from walkmat.exact import solve_matrix
+from walkmat.exact import PRIME, _echelon, _kernel
+from walkmat.oracle import solve_matrix
 
 
 def det_oracle(m: ExactMatrix) -> F:
@@ -297,6 +298,45 @@ def test_solve_and_solve_matrix_match_the_fraction_reference(system):
     expected = solve_oracle(grid, [[x] for x in first])
     got = _outcome(lambda: [[x] for x in solve(a, first)])
     assert got == expected
+
+
+def rref_mod_oracle(grid, p) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan over GF(p) with row swaps and a division per pivot: the
+    reduced row echelon form mod p and its pivot columns."""
+    a = [[x % p for x in row] for row in grid]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+@given(small_matrix, st.sampled_from([3, 7, PRIME]))
+@settings(max_examples=200, deadline=None)
+def test_echelon_and_kernel_modulo_a_prime(grid, p):
+    # the same loop over GF(p): d = 1, the pivot rows are the reduced row
+    # echelon form mod p, every other row is zero, and the kernel vectors
+    # annihilate the matrix mod p
+    rows, pivots, d = _echelon(grid, modulus=p)
+    red, want = rref_mod_oracle(grid, p)
+    r = len(want)
+    assert (pivots, d, rows[:r]) == (want, 1, red[:r])
+    assert not any(x for row in rows[r:] for x in row)
+    assert len(pivots) <= rank(ExactMatrix(grid))
+    basis, d = _kernel(grid, p)
+    assert d == 1 and len(basis) == len(grid[0]) - r
+    assert all(sum(a * x for a, x in zip(row, v)) % p == 0
+               for row in grid for v in basis)
 
 
 @given(small_matrix)

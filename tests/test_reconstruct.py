@@ -264,43 +264,151 @@ def test_reconstruct_at_n40_in_every_rank_class():
         assert res.status == "unique" and res.graphs[0].adj == g.adj
 
 
-def test_one_analysis_per_walk_matrix(monkeypatch, paw, paw_sets):
+@pytest.fixture
+def echelon_calls(monkeypatch):
+    """The modulus of every `_echelon` call while the test runs (0: exact)."""
+    import walkmat.exact
+    import walkmat.spectral
+    calls = []
+    echelon = walkmat.exact._echelon
+
+    def counted(rows, width=None, modulus=0):
+        calls.append(modulus)
+        return echelon(rows, width, modulus)
+
+    monkeypatch.setattr(walkmat.exact, "_echelon", counted)
+    monkeypatch.setattr(walkmat.spectral, "_echelon", counted)
+    return calls
+
+
+def _rank_mod_prime(w):
+    from walkmat.exact import PRIME, _echelon
+    return len(_echelon([w.w.row(i) for i in range(w.n)],
+                        modulus=PRIME)[1])
+
+
+def test_reconstruct_at_n64_in_every_rank_class():
+    # as at n = 40; the exact rank is too slow to pick the instances, so the
+    # rank mod the prime, a lower bound, meets the upper bound of the twins
+    # (one false twin: rank <= n-1, two: rank <= n-2)
+    makers = ((0, lambda seed: random_graph(64, SplitMix64(seed))),
+              (1, lambda seed: _with_false_twin(seed, 63)),
+              (2, lambda seed: _with_twin_pair(seed, 62)))
+    for offset, make in makers:
+        for seed in range(50):
+            g = make(seed)
+            if g is None:
+                continue
+            w = walk_matrix(g, VertexSet.full(64))
+            if _rank_mod_prime(w) == 64 - offset:
+                break
+        else:
+            raise AssertionError(f"no rank n-{offset} instance found")
+        res = reconstruct(ReconstructionInput(w))
+        assert res.status == "unique" and res.graphs[0].adj == g.adj
+
+
+def _fallback_inputs():
+    """Seeded unique, pair, garbage and hinted inputs: (walk matrix, hint)."""
+    from walkmat.graphs import edge_count
+    out = [(WalkMatrix.from_matrix(ExactMatrix(refdata.MATES8_W)), None),
+           (WalkMatrix.from_matrix(ExactMatrix(refdata.MATES7_W)), None)]
+    for seed in range(60):
+        rng = SplitMix64(seed)
+        n = 3 + rng.below(8)
+        g = random_graph(n, rng)
+        s = VertexSet.full(n) if seed % 2 else random_nonempty_set(n, rng)
+        w = walk_matrix(g, s)
+        out += [(w, None), (w, edge_count(g)), (w, edge_count(g) + 1)]
+    for seed in range(20):
+        g = _with_twin_pair(seed, 6 + seed % 5, bool(seed % 2))
+        if g is not None:
+            out.append((walk_matrix(g, VertexSet.full(g.n)), None))
+    rng = SplitMix64(4242)
+    for _ in range(60):
+        n = 2 + rng.below(6)
+        grid = [[rng.next_bit() if k == 0 else rng.below(9)
+                 for k in range(n)] for _ in range(n)]
+        grid[0][0] = 1
+        out.append((WalkMatrix.from_matrix(ExactMatrix(grid)), rng.below(6)))
+    return out
+
+
+def test_forced_fallback_keeps_every_output(monkeypatch, echelon_calls):
+    # with the prime 7 many eliminations meet a residue 0 or a rank that
+    # drops mod p, and the exact path must then give the same answer
+    import sys
+    inputs = _fallback_inputs()
+    expected = [reconstruct(ReconstructionInput(w, hint))
+                for w, hint in inputs]
+    assert {res.status for res in expected} == \
+        {"unique", "pair", "undetermined"}
+    # walkmat.reconstruct is the function; the module is in sys.modules
+    monkeypatch.setattr(sys.modules["walkmat.reconstruct"], "PRIME", 7)
+    fell_back = 0
+    for (w, hint), want in zip(inputs, expected):
+        echelon_calls.clear()
+        assert reconstruct(ReconstructionInput(w, hint)) == want
+        fell_back += want.status == "unique" and 0 in echelon_calls
+    assert fell_back >= 10
+
+
+def test_unique_answer_runs_no_exact_elimination(echelon_calls):
+    # a unique answer found mod p is certified by verify_candidate alone; a
+    # pair and an undetermined answer come from the exact path
+    def exact_eliminations(w, hint=None):
+        echelon_calls.clear()
+        res = reconstruct(ReconstructionInput(w, hint))
+        return res, echelon_calls.count(0)
+
+    g = random_graph(20, SplitMix64(7))
+    res, n_exact = exact_eliminations(walk_matrix(g, VertexSet.full(20)))
+    assert res.status == "unique" and res.graphs[0].adj == g.adj
+    assert n_exact == 0
+    twins = _with_twin_pair(3, 12)
+    res, n_exact = exact_eliminations(walk_matrix(twins, VertexSet.full(14)))
+    assert res.status == "unique" and n_exact == 0
+    mates = WalkMatrix.from_matrix(ExactMatrix(refdata.MATES8_W))
+    res, n_exact = exact_eliminations(mates)
+    assert res.status == "pair" and n_exact > 0
+    low = WalkMatrix.from_matrix(ExactMatrix(refdata.MATES7_W))
+    res, n_exact = exact_eliminations(low)
+    assert res.reason == "rank_too_low" and n_exact > 0
+    res, n_exact = exact_eliminations(mates, 11)
+    assert res.status == "undetermined" and n_exact > 0
+
+
+def test_one_analysis_per_walk_matrix(echelon_calls, paw, paw_sets):
     # each call eliminates [W | I] once, and at rank n that is all: the
     # characteristic polynomial comes from the pivot rows T and A_W is a
     # product.  Below rank n the restriction, the realization and the
     # projector add the elimination of [G | K^T] (G = K^T K) and
-    # reconstruct also the zero-diagonal system
-    import walkmat.exact
-    import walkmat.spectral
+    # reconstruct also the zero-diagonal system.  reconstruct runs these
+    # modulo a prime and repeats them exactly only when it does not find
+    # exactly one graph there: mates8 is a pair
     from walkmat.spectral import (kernel_projector_from_walk,
                                   realize_from_walk, restriction_from_walk)
-    calls = []
-    echelon = walkmat.exact._echelon
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return echelon(*args, **kwargs)
-
     full = walk_matrix(paw, paw_sets[3])
     n1 = walk_matrix(paw, paw_sets["V"])
     n2 = WalkMatrix.from_matrix(ExactMatrix(refdata.MATES8_W))
-    monkeypatch.setattr(walkmat.exact, "_echelon", counted)
-    monkeypatch.setattr(walkmat.spectral, "_echelon", counted)
 
     def count(fn, w):
-        calls.clear()
+        """(exact, modular) eliminations of one call."""
+        echelon_calls.clear()
         fn(w)
-        return len(calls)
+        exact = echelon_calls.count(0)
+        return exact, len(echelon_calls) - exact
 
     for w, offset in ((full, 0), (n1, 1), (n2, 2)):
-        assert count(summary_from_walk, w) == 1
-        assert count(restriction_from_walk, w) == (1 if offset == 0 else 2)
+        assert count(summary_from_walk, w) == (1, 0)
+        assert count(restriction_from_walk, w) == \
+            ((1 if offset == 0 else 2), 0)
         assert count(lambda w: reconstruct(ReconstructionInput(w)), w) == \
-            (1 if offset == 0 else 3)
-        assert count(realize_from_walk, w) == (1 if offset == 0 else 2)
+            ((3 if offset == 2 else 0), (1 if offset == 0 else 3))
+        assert count(realize_from_walk, w) == ((1 if offset == 0 else 2), 0)
         # at rank n, ker W^T is trivial and the projector needs no solve
         assert count(kernel_projector_from_walk, w) == \
-            (1 if offset == 0 else 2)
+            ((1 if offset == 0 else 2), 0)
 
 
 def test_rank_n2_twin_stress_up_to_n16():
