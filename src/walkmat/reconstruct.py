@@ -131,7 +131,7 @@ def _trace_of_product(x, y) -> int:
     return sum(_dot(row, col) for row, col in zip(x, zip(*y)))
 
 
-def _sqrt(x: int, modulus: int = 0) -> int | None:
+def _sqrt(x: int, modulus: int) -> int | None:
     """A square root of x, None if it has none: over Q the root of an
     integer square; modulo a prime p = 3 mod 4, x^((p+1)/4)."""
     if modulus:
@@ -144,11 +144,11 @@ def _sqrt(x: int, modulus: int = 0) -> int | None:
 
 
 def _kernel_parts(kt, num: list[list[int]], den: int, m: int | None,
-                  modulus: int = 0) -> list[tuple[list[list[int]], int]]:
+                  modulus: int) -> list[tuple[list[list[int]], int]]:
     """Every A = A_W + K S K^T with a zero diagonal, as integer rows over a
     denominator; on a line of such S, only the points where ||A||_F^2 = 2m.
-    A_W is num / den and kt is K^T; with a prime modulus each quotient is
-    meant mod p."""
+    A_W is num / den and kt is K^T; with a prime modulus (0: exact) each
+    quotient is meant mod p."""
     k = len(kt)
     kcols = list(zip(*kt))  # the rows of K
     pairs = [(a, b) for a in range(k) for b in range(a, k)]

@@ -88,7 +88,7 @@ class _Analysis:
     kernel: tuple[tuple[int, ...], ...]  # primitive integer basis of ker W^T
     t: tuple[tuple[int, ...], ...]  # r x n: T W_[0,r-1] = d I_r when genuine
     d: int  # the last pivot
-    modulus: int = 0  # a prime when every number above is a residue mod it
+    modulus: int  # a prime when every number above is a residue mod it, or 0
 
 
 def _analyse(w: WalkMatrix, modulus: int = 0) -> _Analysis:
