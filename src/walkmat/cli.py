@@ -140,11 +140,8 @@ def _cmd_spectral(args, out) -> int:
     g = _load_graph(args.graph)
     s = _parse_set(args.set, g.n)
     # one analysis of W serves the summary and the realization
-    analysis = spectral._analyse(walk.walk_matrix(g, s))
-    summary = spectral._summary(analysis)
-    realization = None
-    if args.numeric:
-        realization = spectral._realize(analysis, summary)
+    summary, realization = spectral._decompose(walk.walk_matrix(g, s),
+                                               args.numeric)
     print(spectral.summary_to_json(summary, realization), file=out)
     return EXIT_OK
 

@@ -26,8 +26,9 @@ and one whose candidates all fail.
 elimination of [W | I] over GF(p), and every division by an inverse mod p.
 A candidate's residues lift to a 0/1 matrix when they are all 0 or 1, and
 the candidate is kept only if that matrix passes the exact
-`verify_candidate` and, at rank_p = n-2, has m edges.  Exactly one kept
-graph is the whole answer:
+`verify_candidate` and, at rank_p = n-2, has m edges; at rank_p = n that
+is `spectral._full_rank_graph`, which the forward calls share.  Exactly
+one kept graph is the whole answer:
 
 * rank_Q >= rank_p, since a minor that is non-zero mod p is non-zero.
 * If rank_Q > rank_p >= n-2, then rank_Q >= n-1, where W determines A: the
@@ -51,15 +52,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 from .errors import (CandidateNotGraph, MissingEdgeCount,
                      NegativeDiscriminant, NonUnique, NotAWalkMatrix,
                      WalkmatError)
 from .exact import PRIME, ExactMatrix, _dot, _kernel, _ratio
 from .graphs import Graph, edge_count, emit_graph6
-from .spectral import _Analysis, _analyse, _restriction, _summary
-from .walk import WalkMatrix
+from .spectral import (_Analysis, _analyse, _full_rank_graph, _restriction,
+                       _summary)
+# bench/tracing.py wraps walkmat.reconstruct.verify_candidate
+from .walk import WalkMatrix, verify_candidate
 
 RANK_TOO_LOW = "rank_too_low"
 NOT_A_WALK_MATRIX = "not_a_walk_matrix"
@@ -92,29 +94,6 @@ class ReconstructionResult:
 class ReconstructionInput:
     w: WalkMatrix
     edge_count_hint: int | None = None
-
-
-def verify_candidate(a: ExactMatrix, w: WalkMatrix) -> bool:
-    """True iff a is a valid adjacency matrix (0/1, symmetric, zero
-    diagonal) that regenerates w exactly.
-
-    The walk recurrence col_{k+1} = a col_k runs on a's own rows and stops
-    at the first column that differs from w.
-    """
-    n = w.n
-    if a.shape != (n, n):
-        return False
-    rows = [a.row(i) for i in range(n)]
-    if any(row[i] or not set(row) <= {0, 1} or row != a.col(i)
-           for i, row in enumerate(rows)):
-        return False
-    col = w.vertex_set.characteristic
-    for k in range(n):
-        if k:
-            col = tuple(sum(compress(col, row)) for row in rows)
-        if col != w.w.col(k):
-            return False
-    return True
 
 
 def _symmetric(d: int, upper) -> list[list[int]]:
@@ -241,6 +220,9 @@ def _modular_graph(w: WalkMatrix, hint: int | None) -> Graph | None:
     """The one graph the pipeline mod PRIME finds and verifies, or None,
     which leaves the call to the exact path (module docstring)."""
     analysis = _analyse(w, PRIME)
+    if analysis.r == w.n:
+        a = _full_rank_graph(analysis)
+        return None if a is None else Graph(w.n, tuple(map(a.row, range(w.n))))
     if analysis.r < w.n - 2:
         return None
     try:

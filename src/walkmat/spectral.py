@@ -26,6 +26,21 @@ floating-point view: one symmetric eigensolver call on A_W - n P_K, P_K the
 exact projector onto ker W^T, whose r largest eigenpairs are the main ones.
 It is checked against W at REALIZE_CHECK_TOL; every consumer that needs
 exactness re-verifies rationally.
+
+At rank n the summary, the restriction and the realization read the graph
+itself (`_certified_graph`).  The same formulas run modulo the prime
+p = PRIME give A = A_W mod p; residues that are all 0 or 1 are read as that
+0/1 matrix, kept only if it regenerates W exactly (`verify_candidate`).
+The rank mod p is at most the rank over Q, so rank n mod p proves rank n,
+where W determines A (A = W_[1,n] W^-1): the verified graph is the only
+one with this W, the restriction is A, and A_W - n P_K = A is what the
+realization diagonalises.  The characteristic polynomial c solves
+W c = -A^n e (Cayley-Hamilton) with A^n e = A W_{n-1}; it is lifted
+p-adically on T = W^-1 mod p, and an exact residual 0 certifies it, so it
+is the integral solution that the pivot-row route computes.  Any other
+outcome runs the exact route unchanged: rank below n mod p, a residue 0 to
+invert, no verified graph or a residual left; a W with two equal rows has
+rank below n and makes no modular attempt.
 """
 
 from __future__ import annotations
@@ -33,14 +48,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import NotAWalkMatrix, RealizationFailed
 # rank is unused here but stays bound: bench/test_bench.py checks that the
 # tracer restores walkmat.spectral.rank
-from .exact import (ExactMatrix, IntPolynomial, _divmod, _dot, _echelon,
-                    _ratio, rank)  # noqa: F401
+from .exact import (PRIME, ExactMatrix, IntPolynomial, _divmod, _dot,
+                    _echelon, _ratio, rank)  # noqa: F401
 from .graphs import Graph, VertexSet
-from .walk import WalkMatrix, walk_matrix
+from .walk import WalkMatrix, verify_candidate, walk_matrix
 
 # E*M = W and related float identities are checked at REALIZE_CHECK_TOL
 REALIZE_CHECK_TOL = 1e-8
@@ -167,7 +183,7 @@ def _summary(a: _Analysis) -> SpectralSummary:
 
 def summary_from_walk(w: WalkMatrix) -> SpectralSummary:
     """Spectral summary computed from W alone (no graph needed)."""
-    return _summary(_analyse(w))
+    return _decompose(w, False)[0]
 
 
 def spectral_summary(g: Graph, s: VertexSet) -> SpectralSummary:
@@ -232,6 +248,9 @@ def _restriction(a: _Analysis, summary: SpectralSummary | None = None,
 
 def restriction_from_walk(w: WalkMatrix) -> Restriction:
     """A_W = W_[1,r] W^+, exact (W^+ the pseudo-inverse of W_[0,r-1])."""
+    certified = _certified_graph(w)
+    if certified is not None:
+        return Restriction(certified[1])
     rows, den = _restriction(_analyse(w))
     return Restriction(ExactMatrix([[_ratio(x, den) for x in row]
                                     for row in rows]))
@@ -253,17 +272,97 @@ def kernel_projector(g: Graph, s: VertexSet) -> ExactMatrix:
     return kernel_projector_from_walk(walk_matrix(g, s))
 
 
+# --- the certified graph at full rank ---
+
+def _full_rank_graph(a: _Analysis) -> ExactMatrix | None:
+    """The graph A with the walk matrix a.w, from an analysis of it modulo
+    a prime at rank n: A = A_W, whose residues must all be 0 or 1, read as
+    that 0/1 matrix, which is kept only if it regenerates W exactly
+    (`verify_candidate`).  None when a step fails: a residue 0 to invert,
+    a polynomial that misses its checks, or a lifted matrix that is no
+    graph with this W.
+    """
+    try:
+        rows, den = _restriction(a)
+    except (NotAWalkMatrix, ZeroDivisionError):
+        return None
+    adj = ExactMatrix([[_ratio(x, den, a.modulus) for x in row]
+                       for row in rows])
+    return adj if verify_candidate(adj, a.w) else None
+
+
+def _certified_graph(w: WalkMatrix) -> tuple[_Analysis, ExactMatrix] | None:
+    """The analysis of W modulo PRIME and the one graph with this W, when
+    it has rank n there and `_full_rank_graph` finds that graph; otherwise
+    None, and the caller runs the exact path.  Two equal rows of W put its
+    rank below n, so such a W makes no modular attempt."""
+    if len(set(map(w.w.row, range(w.n)))) < w.n:
+        return None
+    a = _analyse(w, PRIME)
+    adj = _full_rank_graph(a) if a.r == w.n else None
+    return None if adj is None else (a, adj)
+
+
+def _char_from_graph(a: _Analysis, adj: ExactMatrix) -> IntPolynomial | None:
+    """The characteristic polynomial of the certified graph adj, with the
+    analysis a of its walk matrix modulo p: the c with W c = -A^n e.
+
+    A^n e = A W_{n-1} exactly, and c is lifted p-adically (Dixon) on
+    T = W^-1 mod p: each step takes the balanced digit x = T b mod p of
+    the residual b and divides b - W x, exactly, by p.  Every coefficient
+    of the characteristic polynomial of a graph satisfies
+    |c_k| <= C(n, k) (n-1)^(n-k), as its eigenvalues lie in [-(n-1), n-1],
+    so the loop needs no more digits than that bound has.  The residual
+    that ends at 0 certifies W c + A^n e = 0 exactly; None otherwise.
+    """
+    w, p = a.w, a.modulus
+    n = w.n
+    rows = [w.w.row(v) for v in range(n)]
+    last = w.w.col(n - 1)
+    b = [-sum(compress(last, adj.row(v))) for v in range(n)]
+    bound = max(math.comb(n, k) * (n - 1) ** (n - k) for k in range(n))
+    half = p // 2
+    c, scale = [0] * n, 1
+    while any(b) and scale <= 2 * bound:
+        residues = [x % p for x in b]
+        x = [(_dot(trow, residues) + half) % p - half for trow in a.t]
+        b, rems = zip(*(divmod(bv - _dot(row, x), p)
+                        for bv, row in zip(b, rows)))
+        if any(rems):
+            return None
+        c = [cv + scale * xv for cv, xv in zip(c, x)]
+        scale *= p
+    return None if any(b) else IntPolynomial(c + [1])
+
+
+def _decompose(w: WalkMatrix, numeric: bool
+               ) -> tuple[SpectralSummary, NumericRealization | None]:
+    """The summary of W and, when numeric, its realization: from the
+    certified graph at rank n (module docstring), else from one exact
+    analysis."""
+    certified = _certified_graph(w)
+    char = None if certified is None else _char_from_graph(*certified)
+    if char is not None:
+        adj = certified[1]
+        return (SpectralSummary(w.n, char, True, char),
+                _realize(w, w.n, list(map(adj.row, range(w.n))), 1)
+                if numeric else None)
+    a = _analyse(w)
+    summary = _summary(a)
+    return (summary, _realize(w, a.r, *_restriction(a, summary, shift=w.n))
+            if numeric else None)
+
+
 # --- numeric realization ---
 
 def realize_from_walk(w: WalkMatrix) -> NumericRealization:
     """Numeric (mu, M, E) with W = E*M checked at REALIZE_CHECK_TOL."""
-    return _realize(_analyse(w))
+    return _decompose(w, True)[1]
 
 
-def _realize(a: _Analysis, summary: SpectralSummary | None = None
-             ) -> NumericRealization:
-    """The realization of an analysed W (summary: the analysis's, when the
-    caller already has it).
+def _realize(w: WalkMatrix, r: int, shifted, den: int) -> NumericRealization:
+    """The realization of W of rank r from A_W - n P_K, given as integer
+    rows over the denominator den (P_K the projector onto ker W^T).
 
     A_W is A on the column space of W, spanned by the main eigenvectors,
     and 0 on ker W^T; shifting ker W^T to -n puts it below every eigenvalue
@@ -272,8 +371,7 @@ def _realize(a: _Analysis, summary: SpectralSummary | None = None
     """
     import numpy as np
 
-    w, r, n = a.w, a.r, a.w.n
-    shifted, den = _restriction(a, summary, shift=n)
+    n = w.n
     vals, vecs = np.linalg.eigh(np.array([[x / den for x in row]
                                           for row in shifted]))
     mu, v = vals[n - r:], vecs[:, n - r:]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import EmptySet, NotDisjoint, MalformedHeader, TruncatedBody
 from .exact import ExactMatrix
@@ -77,6 +78,29 @@ def walk_matrix(g: Graph, s: VertexSet) -> WalkMatrix:
     """W^S with columns e, Ae, ..., A^{n-1}e."""
     cols = _walk_columns(g, s, g.n)
     return WalkMatrix(ExactMatrix.from_columns(cols), s)
+
+
+def verify_candidate(a: ExactMatrix, w: WalkMatrix) -> bool:
+    """True iff a is a valid adjacency matrix (0/1, symmetric, zero
+    diagonal) that regenerates w exactly.
+
+    The walk recurrence col_{k+1} = a col_k runs on a's own rows and stops
+    at the first column that differs from w.
+    """
+    n = w.n
+    if a.shape != (n, n):
+        return False
+    rows = [a.row(i) for i in range(n)]
+    if any(row[i] or not set(row) <= {0, 1} or row != a.col(i)
+           for i, row in enumerate(rows)):
+        return False
+    col = w.vertex_set.characteristic
+    for k in range(n):
+        if k:
+            col = tuple(sum(compress(col, row)) for row in rows)
+        if col != w.w.col(k):
+            return False
+    return True
 
 
 def walk_slice(g: Graph, s: VertexSet, i: int, j: int) -> WalkSlice:

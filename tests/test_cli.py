@@ -79,7 +79,8 @@ def test_spectral_numeric(paw_al, tmp_path):
 
 def test_spectral_numeric_analyses_w_once(paw_al, monkeypatch):
     # the summary and the realization share one [W | I] elimination: at
-    # rank n (S = {3}) it is the only one, at rank n-1 (S = V) the
+    # rank n (S = {3}) it is the only one, modulo the prime, and both read
+    # the graph certified from it; at rank n-1 (S = V) it is exact and the
     # realization adds the elimination of [G | K^T], G = K^T K
     import walkmat.exact
     import walkmat.spectral

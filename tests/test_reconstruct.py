@@ -1,5 +1,6 @@
 """Adjacency recovery: round trips, the rank-6 mate pair, degenerate cases."""
 
+import numpy as np
 import pytest
 
 import refdata
@@ -334,23 +335,50 @@ def _fallback_inputs():
     return out
 
 
+def _forward_outputs(w):
+    """The summary, A_W and mu of W, each the exception type it raised."""
+    from walkmat.spectral import realize_from_walk, restriction_from_walk
+    out = []
+    for fn in (summary_from_walk, lambda w: restriction_from_walk(w).a_w,
+               lambda w: realize_from_walk(w).mu):
+        try:
+            out.append(fn(w))
+        except Exception as exc:
+            out.append(type(exc))
+    return out
+
+
 def test_forced_fallback_keeps_every_output(monkeypatch, echelon_calls):
     # with the prime 7 many eliminations meet a residue 0 or a rank that
-    # drops mod p, and the exact path must then give the same answer
+    # drops mod p, and the exact path must then give the same answer; the
+    # forward calls take a full-rank answer from the same modular analysis
     import sys
     inputs = _fallback_inputs()
     expected = [reconstruct(ReconstructionInput(w, hint))
                 for w, hint in inputs]
     assert {res.status for res in expected} == \
         {"unique", "pair", "undetermined"}
+    forward = [_forward_outputs(w) for w, _ in inputs]
     # walkmat.reconstruct is the function; the module is in sys.modules
     monkeypatch.setattr(sys.modules["walkmat.reconstruct"], "PRIME", 7)
-    fell_back = 0
-    for (w, hint), want in zip(inputs, expected):
+    monkeypatch.setattr(sys.modules["walkmat.spectral"], "PRIME", 7)
+    fell_back = forward_fell_back = 0
+    for (w, hint), want, want_forward in zip(inputs, expected, forward):
         echelon_calls.clear()
         assert reconstruct(ReconstructionInput(w, hint)) == want
         fell_back += want.status == "unique" and 0 in echelon_calls
-    assert fell_back >= 10
+        echelon_calls.clear()
+        summary, a_w, mu = _forward_outputs(w)
+        assert [summary, a_w] == want_forward[:2]
+        if isinstance(mu, tuple):
+            assert len(mu) == len(want_forward[2])
+            assert np.allclose(mu, want_forward[2], rtol=0, atol=1e-12)
+        else:
+            assert mu == want_forward[2]
+        # a unique answer means that W is a walk matrix
+        forward_fell_back += (want.status == "unique" and summary.full_rank
+                              and 0 in echelon_calls)
+    assert fell_back >= 10 and forward_fell_back >= 10
 
 
 def test_unique_answer_runs_no_exact_elimination(echelon_calls):
@@ -362,9 +390,15 @@ def test_unique_answer_runs_no_exact_elimination(echelon_calls):
         return res, echelon_calls.count(0)
 
     g = random_graph(20, SplitMix64(7))
-    res, n_exact = exact_eliminations(walk_matrix(g, VertexSet.full(20)))
+    w = walk_matrix(g, VertexSet.full(20))
+    res, n_exact = exact_eliminations(w)
     assert res.status == "unique" and res.graphs[0].adj == g.adj
     assert n_exact == 0
+    # so is a full-rank summary and realization, from the same graph
+    from walkmat.spectral import realize_from_walk
+    echelon_calls.clear()
+    assert summary_from_walk(w).full_rank and realize_from_walk(w).mu
+    assert echelon_calls and 0 not in echelon_calls
     twins = _with_twin_pair(3, 12)
     res, n_exact = exact_eliminations(walk_matrix(twins, VertexSet.full(14)))
     assert res.status == "unique" and n_exact == 0
@@ -385,7 +419,10 @@ def test_one_analysis_per_walk_matrix(echelon_calls, paw, paw_sets):
     # projector add the elimination of [G | K^T] (G = K^T K) and
     # reconstruct also the zero-diagonal system.  reconstruct runs these
     # modulo a prime and repeats them exactly only when it does not find
-    # exactly one graph there: mates8 is a pair
+    # exactly one graph there: mates8 is a pair.  At rank n the summary,
+    # the restriction and the realization read the graph certified from
+    # the one modular elimination; n1 and n2 have equal rows of W, which
+    # rule out rank n before any elimination
     from walkmat.spectral import (kernel_projector_from_walk,
                                   realize_from_walk, restriction_from_walk)
     full = walk_matrix(paw, paw_sets[3])
@@ -400,12 +437,13 @@ def test_one_analysis_per_walk_matrix(echelon_calls, paw, paw_sets):
         return exact, len(echelon_calls) - exact
 
     for w, offset in ((full, 0), (n1, 1), (n2, 2)):
-        assert count(summary_from_walk, w) == (1, 0)
-        assert count(restriction_from_walk, w) == \
-            ((1 if offset == 0 else 2), 0)
+        forward = (0, 1) if offset == 0 else (2, 0)
+        assert count(summary_from_walk, w) == \
+            ((0, 1) if offset == 0 else (1, 0))
+        assert count(restriction_from_walk, w) == forward
         assert count(lambda w: reconstruct(ReconstructionInput(w)), w) == \
             ((3 if offset == 2 else 0), (1 if offset == 0 else 3))
-        assert count(realize_from_walk, w) == ((1 if offset == 0 else 2), 0)
+        assert count(realize_from_walk, w) == forward
         # at rank n, ker W^T is trivial and the projector needs no solve
         assert count(kernel_projector_from_walk, w) == \
             ((1 if offset == 0 else 2), 0)

@@ -228,18 +228,36 @@ def test_full_rank_branch_at_n16():
         assert summary_from_walk(w).char_poly == char_poly(g.adjacency)
 
 
-@pytest.mark.parametrize("n", [32, 48])
+@pytest.mark.parametrize("n", [32, 48, 64])
 def test_full_rank_branch_at_large_n(n):
-    # the pivot-row route against Faddeev-LeVerrier (`char_poly`), which
-    # shares no code with it, on the first full-rank G(n, 1/2) by seed
+    # on the first G(n, 1/2) by seed of rank n mod the prime (a lower bound
+    # of the rank, which takes seconds exactly at n = 64): the public route
+    # (the certified graph, c lifted p-adically) and, at n = 32 and 48, the
+    # exact pivot-row route it falls back to, against Faddeev-LeVerrier
+    # (`char_poly`), which shares no code with either
+    from walkmat.exact import PRIME
+    from walkmat.spectral import _analyse, _summary, realize_from_walk
     for seed in range(20):
         g = random_graph(n, SplitMix64(seed))
         w = walk_matrix(g, VertexSet.full(n))
-        if rank(w.w) == n:
+        if _analyse(w, PRIME).r == n:
             break
     else:
         raise AssertionError(f"no full-rank G({n}, 1/2) in 20 seeds")
-    assert summary_from_walk(w).char_poly == char_poly(g.adjacency)
+    coeffs = summary_from_walk(w).char_poly.coeffs
+    if n < 64:
+        assert coeffs == _summary(_analyse(w)).char_poly.coeffs == \
+            char_poly(g.adjacency).coeffs
+        return
+    # char_poly takes seconds here too.  At rank n, e, Ae, ..., A^{n-1} e
+    # are independent, so the characteristic polynomial (Cayley-Hamilton)
+    # is the only monic c of degree n with c(A) e = 0: Horner's rule on
+    # the neighbour lists checks that
+    v = [0] * n
+    for c in reversed(coeffs):
+        v = [sum(v[u] for u in g.neighbors[i]) + c for i in range(n)]
+    assert len(coeffs) == n + 1 and coeffs[-1] == 1 and not any(v)
+    assert len(realize_from_walk(w).mu) == n
 
 
 def test_full_rank_non_walk_matrix_fails_the_hankel_equations():
