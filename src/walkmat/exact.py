@@ -9,8 +9,12 @@ over Python integers (`_echelon`, Bareiss's integer-preserving step): each
 row is first scaled to integers, and only the final answers become
 ``x / d`` of the last pivot d, a Fraction only where d does not divide x.
 Pivots are the first non-zero entry in input row order, which makes every
-result deterministic.  The same loop runs modulo a prime (`PRIME`) for
-callers that only need candidates they verify exactly afterwards.
+result deterministic.  The same elimination runs modulo a prime (`PRIME`)
+for callers that only need candidates they verify exactly afterwards.
+There each row is packed into one Python int, a slot per column, wide
+enough that no slot overflows before the end (`_slot_bits`): a row update
+is one bigint multiply-add, and only the pivot row is unpacked at each
+pivot.
 
 Matrices are immutable values: all operations return fresh matrices, so
 instances are safe to share between threads.
@@ -55,10 +59,20 @@ def _divmod(x: int, d: int, modulus: int = 0) -> tuple[int, int]:
     return x * pow(d, -1, modulus) % modulus, 0
 
 
-def _ratio(x: int, d: int, modulus: int = 0) -> Number:
-    """x / d in stored form; modulo a prime, x d^-1 reduced."""
-    q, rem = _divmod(x, d, modulus)
+def _ratio(x: int, d: int) -> Number:
+    """x / d in stored form."""
+    q, rem = divmod(x, d)
     return Fraction(x, d) if rem else q
+
+
+def _divide_rows(rows: Iterable[Iterable[int]], d: int, modulus: int = 0
+                 ) -> list[list[Number]]:
+    """Every x / d of the integer rows in stored form; modulo a prime,
+    x d^-1 reduced, from one inverse (ZeroDivisionError if d = 0 mod p)."""
+    if not modulus:
+        return [[_ratio(x, d) for x in row] for row in rows]
+    inv = _divmod(1, d, modulus)[0]
+    return [[x * inv % modulus for x in row] for row in rows]
 
 
 def _dot(x, y) -> int:
@@ -185,6 +199,32 @@ def _integer_rows(grid: Iterable[Sequence]) -> list[list[int]]:
     return out
 
 
+def _slot_bits(modulus: int, terms: int) -> int:
+    """Bits per slot of a packed row mod a prime p that takes up to `terms`
+    additions of a product of two residues: a slot then stays below
+    (terms + 1) p^2, which this width holds."""
+    return 2 * modulus.bit_length() + (terms + 1).bit_length()
+
+
+def _pack(values: Sequence[int], bits: int) -> int:
+    """One int holding the non-negative values, value c in bits
+    [bits c, bits (c+1))."""
+    x = 0
+    for v in reversed(values):
+        x = (x << bits) | v
+    return x
+
+
+def _unpack(x: int, bits: int, count: int, modulus: int) -> list[int]:
+    """The first `count` slots of a packed row, each reduced mod the prime."""
+    mask = (1 << bits) - 1
+    out = []
+    for _ in range(count):
+        out.append((x & mask) % modulus)
+        x >>= bits
+    return out
+
+
 def _echelon(rows: list[list[int]], width: int | None = None,
              modulus: int = 0) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix: returns
@@ -200,14 +240,25 @@ def _echelon(rows: list[list[int]], width: int | None = None,
     order, each of those d times its input row minus the pivot rows before
     it in the input that it depends on.
 
-    With a prime `modulus` the same loop runs over GF(p) on the input
-    reduced mod p: the pivot row is scaled to 1, so d = 1, and every other
-    row becomes (a[i] - a[i][c] a[p]) mod p on the columns from c on (the
-    pivot row is zero before c).  The output contract is the same.
+    With a prime `modulus` the same elimination runs over GF(p) on the
+    input reduced mod p, with the same pivots and output contract (d = 1),
+    on packed rows: each row is one int with a slot of `_slot_bits` bits
+    per column (`_pack`).  At each pivot only the pivot row is unpacked:
+    its slots from c on (it is 0 mod p before c) are reduced, scaled to 1
+    and repacked as y.  Every other row i with f = a[i][c] mod p != 0 takes
+    one bigint multiply-add, a[i] += f neg, where neg packs p - y_j: that
+    is a[i] - f y mod p in every slot, and as no slot goes negative no
+    borrow crosses slots.  A slot starts below p and gains f (p - y_j) < p^2
+    per pivot, and slots are reduced only when every row is unpacked at the
+    end.  A row takes at most one update per pivot and there are at most
+    len(rows) pivots, so a slot stays below (len(rows) + 1) p^2, which the
+    slot width holds whatever the prime and the input size.
     """
-    a = [[x % modulus for x in r] for r in rows] if modulus else list(rows)
     if width is None:
-        width = len(a[0]) if a else 0
+        width = len(rows[0]) if rows else 0
+    if modulus:
+        return _echelon_mod(rows, width, modulus)
+    a = list(rows)
     rest = list(range(len(a)))  # the rows that are not pivot rows
     prows, pivots, d = [], [], 1
     for c in range(width):
@@ -215,28 +266,45 @@ def _echelon(rows: list[list[int]], width: int | None = None,
         if p is None:
             continue
         ap, pv = a[p], a[p][c]
-        if modulus:
-            inv = pow(pv, -1, modulus)
-            ap = a[p] = [x * inv % modulus for x in ap]
-            tail = ap[c:]
-            for i, ai in enumerate(a):
-                f = ai[c]
-                if i != p and f:
-                    a[i] = ai[:c] + [(x - f * y) % modulus
-                                     for x, y in zip(ai[c:], tail)]
-            pv = 1
-        else:
-            for i, ai in enumerate(a):
-                f = ai[c]
-                if i != p and f:
-                    a[i] = [(pv * x - f * y) // d for x, y in zip(ai, ap)]
-                elif i != p and pv != d:
-                    a[i] = [pv * x // d for x in ai]
+        for i, ai in enumerate(a):
+            f = ai[c]
+            if i != p and f:
+                a[i] = [(pv * x - f * y) // d for x, y in zip(ai, ap)]
+            elif i != p and pv != d:
+                a[i] = [pv * x // d for x in ai]
         rest.remove(p)
         prows.append(p)
         pivots.append(c)
         d = pv
     return [a[i] for i in prows + rest], pivots, d
+
+
+def _echelon_mod(rows: list[list[int]], width: int, p: int
+                 ) -> tuple[list[list[int]], list[int], int]:
+    """The packed-row branch of `_echelon` modulo the prime p."""
+    cols = len(rows[0]) if rows else 0
+    bits = _slot_bits(p, len(rows))
+    mask = (1 << bits) - 1
+    a = [_pack([x % p for x in r], bits) for r in rows]
+    rest = list(range(len(a)))
+    prows, pivots = [], []
+    for c in range(width):
+        shift = bits * c
+        col = [((ai >> shift) & mask) % p for ai in a]
+        piv = next((i for i in rest if col[i]), None)
+        if piv is None:
+            continue
+        inv = pow(col[piv], -1, p)
+        y = [x * inv % p for x in _unpack(a[piv] >> shift, bits, cols - c, p)]
+        a[piv] = _pack(y, bits) << shift
+        neg = _pack([p - x for x in y], bits) << shift
+        for i, f in enumerate(col):
+            if f and i != piv:
+                a[i] += f * neg
+        rest.remove(piv)
+        prows.append(piv)
+        pivots.append(c)
+    return [_unpack(a[i], bits, cols, p) for i in prows + rest], pivots, 1
 
 
 def rank(m: ExactMatrix) -> int:

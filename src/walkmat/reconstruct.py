@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from .errors import (CandidateNotGraph, MissingEdgeCount,
                      NegativeDiscriminant, NonUnique, NotAWalkMatrix,
                      WalkmatError)
-from .exact import PRIME, ExactMatrix, _dot, _kernel, _ratio
+from .exact import PRIME, ExactMatrix, _divide_rows, _dot, _kernel
 from .graphs import Graph, edge_count, emit_graph6
 from .spectral import (_Analysis, _analyse, _full_rank_graph, _restriction,
                        _summary)
@@ -203,7 +203,7 @@ def _reconstruct(analysis: _Analysis,
         candidates = [(num, den)]
     graphs = []
     for rows, f in candidates:
-        a = ExactMatrix([[_ratio(x, f, p) for x in row] for row in rows])
+        a = ExactMatrix(_divide_rows(rows, f, p))
         if verify_candidate(a, w):
             g = Graph(w.n, tuple(a.row(i) for i in range(w.n)))
             # the edge count is part of the input at rank n-2

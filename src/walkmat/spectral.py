@@ -34,7 +34,8 @@ p = PRIME give A = A_W mod p; residues that are all 0 or 1 are read as that
 The rank mod p is at most the rank over Q, so rank n mod p proves rank n,
 where W determines A (A = W_[1,n] W^-1): the verified graph is the only
 one with this W, the restriction is A, and A_W - n P_K = A is what the
-realization diagonalises.  The characteristic polynomial c solves
+realization diagonalises.  Rank n mod p alone proves ker W^T = 0, so the
+kernel projector is then zero with no exact elimination.  The characteristic polynomial c solves
 W c = -A^n e (Cayley-Hamilton) with A^n e = A W_{n-1}; it is lifted
 p-adically on T = W^-1 mod p, and an exact residual 0 certifies it, so it
 is the integral solution that the pivot-row route computes.  Any other
@@ -53,8 +54,9 @@ from itertools import compress
 from .errors import NotAWalkMatrix, RealizationFailed
 # rank is unused here but stays bound: bench/test_bench.py checks that the
 # tracer restores walkmat.spectral.rank
-from .exact import (PRIME, ExactMatrix, IntPolynomial, _divmod, _dot,
-                    _echelon, _ratio, rank)  # noqa: F401
+from .exact import (PRIME, ExactMatrix, IntPolynomial, _divide_rows,
+                    _divmod, _dot, _echelon, _pack, _ratio, _slot_bits,
+                    _unpack, rank)  # noqa: F401
 from .graphs import Graph, VertexSet
 from .walk import WalkMatrix, verify_candidate, walk_matrix
 
@@ -221,8 +223,12 @@ def _restriction(a: _Analysis, summary: SpectralSummary | None = None,
     numerator, the denominator d dg.  At r = n, K is empty, A^n e comes
     from the characteristic recurrence and A_W = A.  The summary
     (NotAWalkMatrix unless the pivots are 0..r-1) is the analysis's, when
-    the caller already has it.  Modulo a prime the numerator is a residue
-    only after its division.
+    the caller already has it.  Modulo a prime, B is formed on packed rows
+    of T (`exact._pack`): row v of B is sum_k W_[1,r][v][k] T_k, one bigint
+    multiply-add per k, with every factor reduced into [0, p) first, since
+    a negative one (the column A^n e at r = n is one before its reduction)
+    would borrow across slots.  The numerator is a residue only after its
+    division.
     """
     summary = summary or _summary(a)
     w, r, d, kt, p = a.w, a.r, a.d, a.kernel, a.modulus
@@ -236,8 +242,16 @@ def _restriction(a: _Analysis, summary: SpectralSummary | None = None,
         cs = summary.char_poly.coeffs
         for row, wrow in zip(upper, rows):
             row.append(-_dot(cs, wrow))
-    tcols = list(zip(*a.t))
-    b = [[_dot(row, tc) for tc in tcols] for row in upper]
+    if p:
+        bits = _slot_bits(p, r)
+        packed = [_pack(trow, bits) for trow in a.t]
+        b = [_unpack(_dot([x % p for x in row], packed), bits, n, p)
+             for row in upper]
+    else:
+        tcols = list(zip(*a.t))
+        b = [[_dot(row, tc) for tc in tcols] for row in upper]
+    if not kt:
+        return b, d
     xcols, dg = _gram_solve(kt, n, p)
     out = []
     for v, bv in enumerate(b):
@@ -251,9 +265,7 @@ def restriction_from_walk(w: WalkMatrix) -> Restriction:
     certified = _certified_graph(w)
     if certified is not None:
         return Restriction(certified[1])
-    rows, den = _restriction(_analyse(w))
-    return Restriction(ExactMatrix([[_ratio(x, den) for x in row]
-                                    for row in rows]))
+    return Restriction(ExactMatrix(_divide_rows(*_restriction(_analyse(w)))))
 
 
 def restriction(g: Graph, s: VertexSet) -> Restriction:
@@ -261,7 +273,10 @@ def restriction(g: Graph, s: VertexSet) -> Restriction:
 
 
 def kernel_projector_from_walk(w: WalkMatrix) -> ExactMatrix:
-    """K (K^T K)^{-1} K^T: exact orthogonal projector onto ker(W^T)."""
+    """K (K^T K)^{-1} K^T: exact orthogonal projector onto ker(W^T); zero
+    when W has rank n modulo PRIME, which proves ker W^T = 0."""
+    if _full_rank_analysis(w) is not None:
+        return ExactMatrix.zeros(w.n, w.n)
     kt = _analyse(w).kernel
     xcols, dg = _gram_solve(kt, w.n)
     return ExactMatrix([[_ratio(_dot([kj[v] for kj in kt], xc), dg)
@@ -286,20 +301,26 @@ def _full_rank_graph(a: _Analysis) -> ExactMatrix | None:
         rows, den = _restriction(a)
     except (NotAWalkMatrix, ZeroDivisionError):
         return None
-    adj = ExactMatrix([[_ratio(x, den, a.modulus) for x in row]
-                       for row in rows])
+    adj = ExactMatrix(_divide_rows(rows, den, a.modulus))
     return adj if verify_candidate(adj, a.w) else None
+
+
+def _full_rank_analysis(w: WalkMatrix) -> _Analysis | None:
+    """The analysis of W modulo PRIME when W has rank n there, else None.
+    Two equal rows of W put its rank below n, so such a W makes no modular
+    attempt."""
+    if len(set(map(w.w.row, range(w.n)))) < w.n:
+        return None
+    a = _analyse(w, PRIME)
+    return a if a.r == w.n else None
 
 
 def _certified_graph(w: WalkMatrix) -> tuple[_Analysis, ExactMatrix] | None:
     """The analysis of W modulo PRIME and the one graph with this W, when
     it has rank n there and `_full_rank_graph` finds that graph; otherwise
-    None, and the caller runs the exact path.  Two equal rows of W put its
-    rank below n, so such a W makes no modular attempt."""
-    if len(set(map(w.w.row, range(w.n)))) < w.n:
-        return None
-    a = _analyse(w, PRIME)
-    adj = _full_rank_graph(a) if a.r == w.n else None
+    None, and the caller runs the exact path."""
+    a = _full_rank_analysis(w)
+    adj = None if a is None else _full_rank_graph(a)
     return None if adj is None else (a, adj)
 
 

@@ -321,22 +321,73 @@ def rref_mod_oracle(grid, p) -> tuple[list[list[int]], list[int]]:
     return a, pivots
 
 
-@given(small_matrix, st.sampled_from([3, 7, PRIME]))
+@st.composite
+def modular_grid(draw):
+    """(integer matrix, width) for the modular elimination: small,
+    negative and >= 2^64 entries, some rows integer combinations of the
+    others, rows shuffled, and a width of None (all columns) or below."""
+    entry = st.one_of(st.integers(-4, 4), st.integers(-2 ** 70, 2 ** 70),
+                      st.sampled_from([2 ** 64, -2 ** 64, 2 ** 64 + 1]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    independent = draw(st.integers(1, rows))
+    base = [[draw(entry) for _ in range(cols)] for _ in range(independent)]
+    grid = list(base)
+    for _ in range(rows - independent):
+        coeffs = [draw(st.integers(-2, 2)) for _ in base]
+        grid.append([sum(c * b[j] for c, b in zip(coeffs, base))
+                     for j in range(cols)])
+    width = draw(st.one_of(st.none(), st.integers(0, cols)))
+    return draw(st.permutations(grid)), width
+
+
+def check_echelon_mod(grid, width, p):
+    """`_echelon(grid, width, p)` against the oracle: the pivots and the
+    first `width` columns of every row are the oracle's reduced form of
+    those columns (unique, so the pivot rows' choice does not matter
+    there), and the rows are residues that span the input's row space mod
+    p (the same reduced form of the whole matrix)."""
+    rows, pivots, d = _echelon(grid, width, p)
+    width = len(grid[0]) if width is None else width
+    left, want = rref_mod_oracle([row[:width] for row in grid], p)
+    assert (pivots, d) == (want, 1)
+    assert [row[:width] for row in rows] == left
+    assert all(0 <= x < p for row in rows for x in row)
+    assert rref_mod_oracle(rows, p) == rref_mod_oracle(grid, p)
+    return rows, pivots
+
+
+@given(modular_grid(), st.sampled_from([2, 3, 7, PRIME, 2 ** 31 - 1]))
 @settings(max_examples=200, deadline=None)
-def test_echelon_and_kernel_modulo_a_prime(grid, p):
+def test_echelon_and_kernel_modulo_a_prime(grid_width, p):
     # the same loop over GF(p): d = 1, the pivot rows are the reduced row
-    # echelon form mod p, every other row is zero, and the kernel vectors
-    # annihilate the matrix mod p
-    rows, pivots, d = _echelon(grid, modulus=p)
-    red, want = rref_mod_oracle(grid, p)
-    r = len(want)
-    assert (pivots, d, rows[:r]) == (want, 1, red[:r])
+    # echelon form mod p (at full width), every other row is zero there,
+    # and the kernel vectors annihilate the matrix mod p
+    grid, width = grid_width
+    check_echelon_mod(grid, width, p)
+    rows, pivots = check_echelon_mod(grid, None, p)
+    r = len(pivots)
     assert not any(x for row in rows[r:] for x in row)
-    assert len(pivots) <= rank(ExactMatrix(grid))
+    assert r <= rank(ExactMatrix(grid))
     basis, d = _kernel(grid, p)
     assert d == 1 and len(basis) == len(grid[0]) - r
     assert all(sum(a * x for a, x in zip(row, v)) % p == 0
                for row in grid for v in basis)
+
+
+def test_echelon_modulo_a_prime_of_w_and_identity_at_n64():
+    # [W | I] of a seeded G(64, 1/2) pivoting in W's columns, as the
+    # spectral analysis runs it: at rank 64 mod PRIME the rows are
+    # [I | W^-1] mod p; mod 2, W has rank below 64
+    from walkmat import SplitMix64, VertexSet, random_graph, walk_matrix
+    n = 64
+    w = walk_matrix(random_graph(n, SplitMix64(64)), VertexSet.full(n))
+    grid = [list(w.w.row(v)) + [int(u == v) for u in range(n)]
+            for v in range(n)]
+    rows, pivots = check_echelon_mod(grid, n, PRIME)
+    assert pivots == list(range(n))
+    assert rows == rref_mod_oracle(grid, PRIME)[0]
+    rows, pivots = check_echelon_mod(grid, n, 2)
+    assert len(pivots) < n
 
 
 @given(small_matrix)

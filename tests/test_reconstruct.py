@@ -421,8 +421,9 @@ def test_one_analysis_per_walk_matrix(echelon_calls, paw, paw_sets):
     # modulo a prime and repeats them exactly only when it does not find
     # exactly one graph there: mates8 is a pair.  At rank n the summary,
     # the restriction and the realization read the graph certified from
-    # the one modular elimination; n1 and n2 have equal rows of W, which
-    # rule out rank n before any elimination
+    # the one modular elimination, and the projector is zero after it; n1
+    # and n2 have equal rows of W, which rule out rank n before any
+    # elimination
     from walkmat.spectral import (kernel_projector_from_walk,
                                   realize_from_walk, restriction_from_walk)
     full = walk_matrix(paw, paw_sets[3])
@@ -444,9 +445,8 @@ def test_one_analysis_per_walk_matrix(echelon_calls, paw, paw_sets):
         assert count(lambda w: reconstruct(ReconstructionInput(w)), w) == \
             ((3 if offset == 2 else 0), (1 if offset == 0 else 3))
         assert count(realize_from_walk, w) == forward
-        # at rank n, ker W^T is trivial and the projector needs no solve
-        assert count(kernel_projector_from_walk, w) == \
-            ((1 if offset == 0 else 2), 0)
+        # at rank n, ker W^T is trivial, which the rank mod p proves
+        assert count(kernel_projector_from_walk, w) == forward
 
 
 def test_rank_n2_twin_stress_up_to_n16():

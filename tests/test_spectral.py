@@ -260,6 +260,35 @@ def test_full_rank_branch_at_large_n(n):
     assert len(realize_from_walk(w).mu) == n
 
 
+def test_restriction_mod_prime_is_the_exact_one_reduced(paw, paw_sets):
+    # A_W from the analysis mod PRIME (the packed product B = W_[1,r] T)
+    # against the exact A_W reduced mod PRIME, entry for entry, at rank n
+    # (where the column -sum_i c_i W_i appended to W_[1,n-1] is negative
+    # before it is reduced), n-1 (a false twin) and n-2 (mates8)
+    from walkmat import Graph, WalkMatrix
+    from walkmat.exact import PRIME
+    from walkmat.spectral import _analyse, _restriction
+    g = random_graph(15, SplitMix64(3))
+    twin = Graph(16, tuple(tuple(row) + (g.adj[0][i],)
+                           for i, row in enumerate(g.adj))
+                 + (tuple(g.adj[0]) + (0,),))
+    full = next(w for w in (walk_matrix(random_graph(24, SplitMix64(seed)),
+                                        VertexSet.full(24))
+                            for seed in range(20))
+                if _analyse(w, PRIME).r == 24)
+    cases = ((walk_matrix(paw, paw_sets[3]), 0), (full, 0),
+             (walk_matrix(twin, VertexSet.full(16)), 1),
+             (WalkMatrix.from_matrix(ExactMatrix(refdata.MATES8_W)), 2))
+    for w, offset in cases:
+        modular, exact = _analyse(w, PRIME), _analyse(w)
+        assert modular.r == exact.r == w.n - offset
+        reduced = []
+        for rows, den in (_restriction(modular), _restriction(exact)):
+            inv = pow(den, -1, PRIME)
+            reduced.append([[x * inv % PRIME for x in row] for row in rows])
+        assert reduced[0] == reduced[1]
+
+
 def test_full_rank_non_walk_matrix_fails_the_hankel_equations():
     # no graph has this full-rank matrix (found by a seeded search over
     # 4 x 4 matrices with first column e and entries below 6): its
