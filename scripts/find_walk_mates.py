@@ -17,8 +17,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from walkmat import Graph, brute_force_isomorphic, emit_graph6
+from walkmat import Graph, emit_graph6
 from walkmat.exact import ExactMatrix
+from walkmat.oracle import brute_force_isomorphic
 from walkmat.walk import WalkMatrix, from_text, walk_matrix
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from walkmat import rank_statistics
+from walkmat.oracle import rank_statistics
 
 
 def main() -> None:

@@ -8,6 +8,9 @@ walk-equivalence and isomorphism certificates.  All core algebra is exact:
 integer data stay Python ints, eliminations are fraction-free over integers
 and rationals appear only in answers that are not integers; floating point
 appears only in the numeric realization, a clearly marked derived view.
+
+The oracles live in `walkmat.oracle`, which `import walkmat` does not load.
+`walkmat.reconstruct` names the function, not the module of that name.
 """
 
 from .canonical import (IsoCertificate, LexForm, certify_isomorphism,
@@ -17,14 +20,8 @@ from .exact import ExactMatrix, IntPolynomial, QQ, kernel_basis, rank
 from .graphs import (Graph, VertexSet, degree_sequence, edge_count,
                      emit_graph6, from_edge_list, parse_adjacency_text,
                      parse_edge_list_text, parse_graph6)
-from .oracle import (RankStats, RoundtripReport, SplitMix64, WalkCountTable,
-                     brute_force_isomorphic, char_poly, count_walks,
-                     enumerate_graph_classes, exhaustive_roundtrip,
-                     float_eigencheck, main_poly_via_dependence,
-                     poly_divides, random_graph, rank_statistics, solve)
 from .reconstruct import (ReconstructionInput, ReconstructionResult,
-                          rank_n, rank_n1, rank_n2, reconstruct,
-                          verify_candidate)
+                          reconstruct, verify_candidate)
 from .spectral import (NumericRealization, Restriction, SpectralSummary,
                        kernel_projector, main_eigen_realize, restriction,
                        spectral_summary, summary_from_walk)

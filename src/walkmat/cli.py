@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import canonical, oracle, spectral, walk
+from . import canonical, spectral, walk
 from .errors import WalkmatError
 from .exact import ExactMatrix
 from .graphs import (Graph, VertexSet, emit_graph6, parse_adjacency_text,
@@ -226,6 +226,7 @@ def _cmd_equiv(args, out) -> int:
 
 
 def _cmd_stats(args, out) -> int:
+    from . import oracle
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("WALKMAT_SEED", DEFAULT_STATS_SEED))
@@ -241,6 +242,7 @@ def _cmd_stats(args, out) -> int:
 
 
 def _cmd_roundtrip(args, out) -> int:
+    from . import oracle
     report = oracle.exhaustive_roundtrip(args.n, extra_samples=args.samples,
                                          seed=args.seed, jobs=args.jobs)
     for line in report.json_lines():

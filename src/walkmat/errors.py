@@ -7,10 +7,6 @@ class WalkmatError(Exception):
 
 # --- exact linear algebra ---
 
-class NoSolution(WalkmatError):
-    """Linear system is inconsistent."""
-
-
 class NonUnique(WalkmatError):
     """Linear system is underdetermined."""
 
@@ -68,10 +64,6 @@ class RealizationFailed(WalkmatError):
 
 
 # --- reconstruction ---
-
-class CandidateNotGraph(WalkmatError):
-    """A reconstructed matrix failed 0/1-symmetric-zero-diagonal validation."""
-
 
 class MissingEdgeCount(WalkmatError):
     """Rank n-2 reconstruction with a proper subset S needs the edge count."""

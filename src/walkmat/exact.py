@@ -121,9 +121,6 @@ class ExactMatrix:
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self._entries)
 
-    def take_cols(self, indices: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix([[r[j] for j in indices] for r in self._entries])
-
     # -- predicates --
 
     def is_square(self) -> bool:

@@ -1,12 +1,10 @@
 """Independent brute-force verifiers and statistical harnesses.
 
 Everything here cross-checks the algebraic modules by a different route:
-the main polynomial by a linear solve on A^r e and the characteristic
-polynomial by Faddeev-LeVerrier, walk counting by integer matrix powers (no
-neighbour lists),
-isomorphism by backtracking search, rank by counting non-perpendicular
-eigenspace projections, and reconstruction by exhaustive enumeration of
-small graphs.
+the characteristic polynomial by Faddeev-LeVerrier, walk counting by integer
+matrix powers (no neighbour lists), isomorphism by backtracking search, rank
+by counting non-perpendicular eigenspace projections, and reconstruction by
+exhaustive enumeration of small graphs.
 
 The random generator is splitmix64, fixed forever so that sampled statistics
 are bit-stable across runs and platforms.  Each trial draws its own stream
@@ -21,12 +19,11 @@ import json
 from dataclasses import dataclass
 
 from .canonical import lex_form
-from .errors import EmptySet, NonInteger, NonUnique, NoSolution, TooLarge
-from .exact import (QQ, ExactMatrix, IntPolynomial, Vector, _echelon,
-                    _integer_rows, _ratio, rank)
+from .errors import EmptySet, NonInteger, TooLarge
+from .exact import ExactMatrix, IntPolynomial, rank
 from .graphs import Graph, VertexSet, degree_sequence, emit_graph6
 from .reconstruct import ReconstructionInput, reconstruct
-from .walk import walk_matrix, walk_slice
+from .walk import walk_matrix
 
 _M64 = (1 << 64) - 1
 
@@ -83,51 +80,7 @@ def random_nonempty_set(n: int, rng: SplitMix64) -> VertexSet:
             return VertexSet(n, members)
 
 
-# --- exact cross-checks: solve, characteristic polynomial ---
-
-def solve(a: ExactMatrix, b) -> Vector:
-    """Exact solution of a x = b.
-
-    Raises NoSolution when inconsistent and NonUnique when underdetermined.
-    """
-    return solve_matrix(a, ExactMatrix([[x] for x in b])).col(0)
-
-
-def solve_matrix(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact solution X of a X = b (multiple right-hand sides at once), from
-    one elimination of [a | b]."""
-    if b.rows != a.rows:
-        raise ValueError("shape mismatch")
-    rows, pivots, d = _echelon(_integer_rows(
-        ra + rb for ra, rb in zip(a._entries, b._entries)))
-    n = a.cols
-    if pivots and pivots[-1] >= n:
-        raise NoSolution("inconsistent system")
-    if len(pivots) < n:
-        raise NonUnique("underdetermined system")
-    return ExactMatrix([[_ratio(x, d) for x in row[n:]] for row in rows[:n]])
-
-
-def poly_divides(p: IntPolynomial, q: IntPolynomial) -> bool:
-    """True iff p divides q exactly (zero remainder, division over Q[x])."""
-    if p.is_zero():
-        raise ValueError("division by the zero polynomial")
-    if q.is_zero():
-        return True
-    if q.degree < p.degree:
-        return False
-    rem = [QQ(c) for c in q.coeffs]
-    pc = [QQ(c) for c in p.coeffs]
-    lead = pc[-1]
-    for top in range(len(rem) - 1, p.degree - 1, -1):
-        f = rem[top] / lead
-        if f == 0:
-            continue
-        off = top - p.degree
-        for i, c in enumerate(pc):
-            rem[off + i] -= f * c
-    return all(c == 0 for c in rem[:p.degree])
-
+# --- exact cross-check: characteristic polynomial ---
 
 def char_poly(a: ExactMatrix) -> IntPolynomial:
     """Monic characteristic polynomial of an integer matrix, exactly.
@@ -154,20 +107,6 @@ def char_poly(a: ExactMatrix) -> IntPolynomial:
         m = [[am[i][j] + (ck if i == j else 0) for j in range(n)]
              for i in range(n)]
     return IntPolynomial(list(reversed(coeffs)))
-
-
-def main_poly_via_dependence(g: Graph, s: VertexSet) -> IntPolynomial:
-    """Main polynomial from the A^r e dependence, for any rank.
-
-    At full rank this uses the extra column A^n e from the graph, giving an
-    independent route to cross-check the pivot-row branch
-    (`spectral._char_from_pivots`), which never sees A^n e.
-    """
-    w = walk_matrix(g, s)
-    r = rank(w.w)
-    sl = walk_slice(g, s, 0, r).m
-    f = solve(sl.take_cols(range(r)), sl.col(r))
-    return IntPolynomial([-x for x in f] + [1])
 
 
 # --- walk counting oracle ---

@@ -53,9 +53,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import (CandidateNotGraph, MissingEdgeCount,
-                     NegativeDiscriminant, NonUnique, NotAWalkMatrix,
-                     WalkmatError)
+from .errors import (MissingEdgeCount, NegativeDiscriminant, NonUnique,
+                     NotAWalkMatrix, WalkmatError)
 from .exact import PRIME, ExactMatrix, _divide_rows, _dot, _kernel
 from .graphs import Graph, edge_count, emit_graph6
 from .spectral import (_Analysis, _analyse, _full_rank_graph, _restriction,
@@ -231,39 +230,6 @@ def _modular_graph(w: WalkMatrix, hint: int | None) -> Graph | None:
     except (WalkmatError, ZeroDivisionError):
         return None
     return res.graphs[0] if res.status == "unique" else None
-
-
-def _unique_graph(w: WalkMatrix, r: int, wrong_rank: str) -> Graph:
-    analysis = _analyse(w)
-    if analysis.r != r:
-        raise ValueError(wrong_rank)
-    res = _reconstruct(analysis)
-    if res.status != "unique":
-        raise CandidateNotGraph("no candidate regenerates W")
-    return res.graphs[0]
-
-
-def rank_n(w: WalkMatrix) -> Graph:
-    """Full rank: A = A_W, the solution of A W = W_[1,n]."""
-    return _unique_graph(w, w.n, "rank_n needs a full-rank walk matrix")
-
-
-def rank_n1(w: WalkMatrix) -> Graph:
-    """Rank n-1: A = A_W + s k k^T, s read off the zero diagonal."""
-    return _unique_graph(w, w.n - 1, "rank_n1 needs rank exactly n-1")
-
-
-def rank_n2(w: WalkMatrix, m: int | None = None) -> ReconstructionResult:
-    """Rank n-2: at most two graphs share W; both are found and verified.
-
-    m is the edge count; when omitted it is derived from column 1 of W for
-    S = V, otherwise MissingEdgeCount is raised.
-    """
-    m = _edge_count(w, m)
-    analysis = _analyse(w)
-    if analysis.r != w.n - 2:
-        raise ValueError("rank_n2 needs rank exactly n-2")
-    return _reconstruct(analysis, m)
 
 
 def _edge_count(w: WalkMatrix, m: int | None) -> int:

@@ -356,16 +356,19 @@ def _char_from_graph(a: _Analysis, adj: ExactMatrix) -> IntPolynomial | None:
     return None if any(b) else IntPolynomial(c + [1])
 
 
-def _decompose(w: WalkMatrix, numeric: bool
-               ) -> tuple[SpectralSummary, NumericRealization | None]:
-    """The summary of W and, when numeric, its realization: from the
-    certified graph at rank n (module docstring), else from one exact
-    analysis."""
+def _decompose(w: WalkMatrix, numeric: bool, summarise: bool = True
+               ) -> tuple[SpectralSummary | None, NumericRealization | None]:
+    """The summary of W (None when not summarise) and, when numeric, its
+    realization: from the certified graph at rank n (module docstring),
+    else from one exact analysis.  Only the summary needs the Dixon lift
+    of the characteristic polynomial."""
     certified = _certified_graph(w)
-    char = None if certified is None else _char_from_graph(*certified)
-    if char is not None:
+    char = (_char_from_graph(*certified)
+            if certified is not None and summarise else None)
+    if certified is not None and (char is not None or not summarise):
         adj = certified[1]
-        return (SpectralSummary(w.n, char, True, char),
+        return (SpectralSummary(w.n, char, True, char) if summarise
+                else None,
                 _realize(w, w.n, list(map(adj.row, range(w.n))), 1)
                 if numeric else None)
     a = _analyse(w)
@@ -378,7 +381,7 @@ def _decompose(w: WalkMatrix, numeric: bool
 
 def realize_from_walk(w: WalkMatrix) -> NumericRealization:
     """Numeric (mu, M, E) with W = E*M checked at REALIZE_CHECK_TOL."""
-    return _decompose(w, True)[1]
+    return _decompose(w, True, summarise=False)[1]
 
 
 def _realize(w: WalkMatrix, r: int, shifted, den: int) -> NumericRealization:

@@ -146,20 +146,32 @@ def to_json(w: WalkMatrix) -> str:
 
 
 def from_json(text: str) -> WalkMatrix:
+    """Parse `to_json` output; the shapes are checked before any indexing,
+    so malformed JSON raises MalformedHeader or TruncatedBody."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedHeader(f"bad walk-matrix JSON: {exc}") from exc
+    if type(obj) is not dict:
+        raise MalformedHeader("walk-matrix JSON is not an object")
     for key in ("n", "set", "columns"):
         if key not in obj:
             raise MalformedHeader(f"walk-matrix JSON lacks {key!r}")
-    n = int(obj["n"])
-    cols = obj["columns"]
-    if len(cols) != n or any(len(c) != n for c in cols):
-        raise TruncatedBody("walk-matrix JSON has wrong column shape")
-    m = ExactMatrix.from_columns([[int(x) for x in c] for c in cols])
+    n, members, cols = obj["n"], obj["set"], obj["columns"]
+    if type(n) is not int or type(members) is not list or any(
+            type(i) is not int for i in members):
+        raise MalformedHeader("walk-matrix JSON needs an integer n and set")
+    # to_json writes each entry as a decimal string
+    if type(cols) is not list or len(cols) != n or any(
+            type(c) is not list or len(c) != n
+            or any(type(x) not in (int, str) for x in c) for c in cols):
+        raise TruncatedBody("walk-matrix JSON columns are not n x n integers")
+    try:
+        m = ExactMatrix.from_columns([[int(x) for x in c] for c in cols])
+    except ValueError as exc:
+        raise TruncatedBody(f"bad walk-matrix JSON entry: {exc}") from exc
     w = WalkMatrix.from_matrix(m)
-    if list(w.vertex_set.members) != [int(i) for i in obj["set"]]:
+    if list(w.vertex_set.members) != members:
         raise MalformedHeader("declared set does not match column 0")
     return w
 

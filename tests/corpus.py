@@ -37,11 +37,11 @@ import sys
 from pathlib import Path
 
 import refdata
-from walkmat import (ExactMatrix, Graph, ReconstructionInput, SplitMix64,
-                     VertexSet, WalkMatrix, edge_count, emit_graph6,
-                     random_graph, reconstruct, walk_matrix)
+from walkmat import (ExactMatrix, Graph, ReconstructionInput, VertexSet,
+                     WalkMatrix, edge_count, emit_graph6, reconstruct,
+                     walk_matrix)
 from walkmat.errors import WalkmatError
-from walkmat.oracle import random_nonempty_set
+from walkmat.oracle import SplitMix64, random_graph, random_nonempty_set
 from walkmat.spectral import (kernel_projector_from_walk, realize_from_walk,
                               restriction_from_walk, summary_from_walk)
 from walkmat.walk import to_json

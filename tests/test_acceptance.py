@@ -11,18 +11,18 @@ import math
 import warnings
 
 import refdata
-from walkmat import (ExactMatrix, IntPolynomial, SplitMix64, VertexSet,
-                     WalkMatrix, brute_force_isomorphic, certify_isomorphism,
-                     certify_set_automorphism, char_poly, count_walks,
-                     enumerate_graph_classes, exhaustive_roundtrip,
-                     float_eigencheck, hankel_matrix,
-                     kernel_projector, lex_form, parse_graph6, random_graph,
-                     rank, rank_statistics, reconstruct,
-                     ReconstructionInput, restriction,
+from walkmat import (ExactMatrix, IntPolynomial, VertexSet, WalkMatrix,
+                     certify_isomorphism, certify_set_automorphism,
+                     hankel_matrix, kernel_projector, lex_form, parse_graph6,
+                     rank, reconstruct, ReconstructionInput, restriction,
                      restriction_equivalence_check, shift_identity_check,
                      spectral_summary, walk_equivalent, walk_matrix)
 from walkmat.canonical import INCONCLUSIVE, ISOMORPHIC, ISOMORPHIC_PAIR
-from walkmat.oracle import random_nonempty_set
+from walkmat.oracle import (SplitMix64, brute_force_isomorphic, char_poly,
+                            count_walks, enumerate_graph_classes,
+                            exhaustive_roundtrip, float_eigencheck,
+                            random_graph, random_nonempty_set,
+                            rank_statistics)
 from walkmat.spectral import summary_from_walk
 
 STATS_SEED = 20240901

@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refdata
-from walkmat import (ExactMatrix, SplitMix64, VertexSet, WalkMatrix,
-                     brute_force_isomorphic, certify_isomorphism,
+from walkmat import (ExactMatrix, VertexSet, WalkMatrix, certify_isomorphism,
                      certify_set_automorphism, from_edge_list, lex_form,
-                     parse_graph6, random_graph, rank,
-                     restriction_equivalence_check, walk_equivalent,
-                     walk_matrix)
+                     parse_graph6, rank, restriction_equivalence_check,
+                     walk_equivalent, walk_matrix)
 from walkmat.canonical import (INCONCLUSIVE, ISOMORPHIC, ISOMORPHIC_PAIR,
                                NOT_ISOMORPHIC, format_cycles, perm_cycles)
 from walkmat.errors import OrderMismatch
-from walkmat.oracle import random_nonempty_set
+from walkmat.oracle import (SplitMix64, brute_force_isomorphic, random_graph,
+                            random_nonempty_set)
 
 seeds = st.integers(0, 2**32 - 1)
 

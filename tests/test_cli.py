@@ -68,7 +68,8 @@ def test_spectral_numeric(paw_al, tmp_path):
     assert "char_poly" not in obj
     assert len(obj["mu"]) == 3 and abs(obj["mu"][2] - 2.17) < 0.01
     # G(32, 1/2): the realization also holds at full rank n = 32
-    from walkmat import SplitMix64, emit_graph6, random_graph
+    from walkmat import emit_graph6
+    from walkmat.oracle import SplitMix64, random_graph
     p = tmp_path / "g32.g6"
     p.write_text(emit_graph6(random_graph(32, SplitMix64(32))) + "\n")
     code, out = run(["spectral", str(p), "--numeric"])
@@ -130,7 +131,8 @@ def test_reconstruct_undetermined(tmp_path):
 
 def test_cli_starts_without_numpy(paw_al, mates8_walk):
     # only spectral --numeric, float_eigencheck and roundtrip load NumPy,
-    # and only stats and roundtrip with --jobs > 1 start a process pool
+    # only stats and roundtrip with --jobs > 1 start a process pool, and
+    # only stats and roundtrip import the oracle module
     code = textwrap.dedent(f"""
         import io, json, sys
         from walkmat.cli import main
@@ -140,7 +142,8 @@ def test_cli_starts_without_numpy(paw_al, mates8_walk):
                  ["equiv", {paw_al!r}, {paw_al!r}]]
         codes = [main(argv, out=io.StringIO()) for argv in calls]
         print(json.dumps([codes, "numpy" in sys.modules,
-                          "concurrent.futures.process" in sys.modules]))
+                          "concurrent.futures.process" in sys.modules,
+                          "walkmat.oracle" in sys.modules]))
     """)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -150,7 +153,8 @@ def test_cli_starts_without_numpy(paw_al, mates8_walk):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # iso of the paw with itself at S = V (rank n-1) is definitive
-    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0, 0], False, False]
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0, 0], False, False,
+                                       False]
 
 
 def test_canon_reference_lex_form(paw_al):
@@ -224,6 +228,27 @@ def test_data_error(tmp_path):
     bad.write_text("")
     code, _ = run(["walk", str(bad)])
     assert code == 3
+
+
+def test_malformed_walk_json_is_a_data_error(tmp_path):
+    # each input breaks the shape walk.from_json requires (an object, an
+    # integer n, a list of integers as the set, n columns of n integers):
+    # a typed data error, and exit 3 with nothing on stdout
+    from walkmat.errors import MalformedHeader, TruncatedBody
+    from walkmat.walk import from_json
+    good = {"n": 2, "set": [1], "columns": [["1", "0"], ["0", "1"]]}
+    assert from_json(json.dumps(good)).n == 2
+    bad = [dict(good, columns=5), dict(good, columns=[["1", "0"], None]),
+           dict(good, columns=[["1", None], ["0", "1"]]),
+           dict(good, columns=[["1", 0.5], ["0", "1"]]),
+           dict(good, columns=[["1", "x"], ["0", "1"]]),
+           dict(good, n="2"), dict(good, set=1), dict(good, set=[None])]
+    p = tmp_path / "bad.json"
+    for text in [json.dumps(obj) for obj in bad] + ["[1, 2]", "null"]:
+        with pytest.raises((MalformedHeader, TruncatedBody)):
+            from_json(text)
+        p.write_text(text)
+        assert run(["reconstruct", str(p)]) == (3, "")
 
 
 def test_stdin_input(monkeypatch):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_oracles import kernel_oracle, rref_oracle
 import refdata
-from walkmat import (ExactMatrix, IntPolynomial, char_poly, kernel_basis,
-                     poly_divides, rank, solve)
-from walkmat.errors import NonInteger, NoSolution, NonUnique
+from walkmat import ExactMatrix, IntPolynomial, kernel_basis, rank
+from walkmat.errors import NonInteger
 from walkmat.exact import PRIME, _echelon, _kernel
-from walkmat.oracle import solve_matrix
+from walkmat.oracle import char_poly
 
 
 def det_oracle(m: ExactMatrix) -> F:
@@ -37,53 +37,6 @@ def det_oracle(m: ExactMatrix) -> F:
     return det
 
 
-def rref_oracle(grid) -> tuple[list[list[F]], list[int]]:
-    """Plain fraction Gauss-Jordan elimination with row swaps: (reduced row
-    echelon form, pivot columns).  Shares no code with the fraction-free
-    integer elimination in walkmat.exact."""
-    a = [[F(x) for x in row] for row in grid]
-    nrows, ncols = len(a), (len(a[0]) if a else 0)
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots
-
-
-def solve_oracle(grid, rhs_rows):
-    """X with grid X = rhs, or the error a solver must raise."""
-    n = len(grid[0])
-    red, pivots = rref_oracle([list(r) + list(b)
-                               for r, b in zip(grid, rhs_rows)])
-    if any(c >= n for c in pivots):
-        return NoSolution
-    if len(pivots) < n:
-        return NonUnique
-    return [row[n:] for row in red[:n]]
-
-
-def kernel_oracle(grid) -> list[tuple[F, ...]]:
-    red, pivots = rref_oracle(grid)
-    n = len(grid[0])
-    basis = []
-    for f in (c for c in range(n) if c not in pivots):
-        v = [F(0)] * n
-        v[f] = F(1)
-        for row, c in zip(red, pivots):
-            v[c] = -row[f]
-        basis.append(tuple(v))
-    return basis
-
-
 @st.composite
 def rational_matrix(draw, max_rows=5, max_cols=5):
     """Rectangular rational matrices, often rank-deficient: some rows are
@@ -98,22 +51,6 @@ def rational_matrix(draw, max_rows=5, max_cols=5):
         grid.append([sum(c * b[j] for c, b in zip(coeffs, base))
                      for j in range(cols)])
     return draw(st.permutations(grid))
-
-
-@st.composite
-def linear_system(draw):
-    """(A, B) with k right-hand sides; B = A X for a drawn X (consistent)
-    or drawn on its own (inconsistent whenever A has dependent rows)."""
-    grid = draw(rational_matrix())
-    k = draw(st.integers(1, 3))
-    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    if draw(st.booleans()):
-        x = [[draw(value) for _ in range(k)] for _ in grid[0]]
-        rhs = [[sum(a * x[t][j] for t, a in enumerate(row))
-                for j in range(k)] for row in grid]
-    else:
-        rhs = [[draw(value) for _ in range(k)] for _ in grid]
-    return grid, rhs
 
 
 small_matrix = st.integers(2, 5).flatmap(
@@ -151,35 +88,8 @@ def test_integer_entries_are_stored_as_ints():
         with pytest.raises(TypeError):
             ExactMatrix([[bad]])
     # answers follow the same rule
-    x = solve(ExactMatrix([[2, 0], [0, 1]]), [1, 4])
-    assert x == (F(1, 2), 4) and [type(v) for v in x] == [F, int]
-
-
-def test_solve_identity():
-    b = [F(3), F(-1), F(7)]
-    assert solve(ExactMatrix.identity(3), b) == tuple(b)
-
-
-def test_solve_w1_dependence():
-    # first three columns of W^{1} against the fourth: the main-polynomial
-    # dependence, checked by hand elimination
-    w1 = ExactMatrix(refdata.PAW_W1)
-    a = w1.take_cols([0, 1, 2])
-    x = solve(a, w1.col(3))
-    assert x == (F(-1), F(3), F(1))
-    assert all(type(v) is int for v in x)
-
-
-def test_solve_inconsistent():
-    a = ExactMatrix([[1, 1], [1, 1]])
-    with pytest.raises(NoSolution):
-        solve(a, [1, 2])
-
-
-def test_solve_underdetermined():
-    a = ExactMatrix([[1, 1], [1, 1]])
-    with pytest.raises(NonUnique):
-        solve(a, [1, 1])
+    (x,) = kernel_basis(ExactMatrix([[2, 1]]))
+    assert x == (F(-1, 2), 1) and [type(v) for v in x] == [F, int]
 
 
 def test_kernel_identity():
@@ -236,7 +146,8 @@ def test_char_poly_matches_determinant_evaluations(grid):
 def test_char_poly_adjacency_coefficients():
     # trace forces the x^{n-1} coefficient to 0 and the x^{n-2} coefficient
     # to minus the edge count, for every adjacency matrix
-    from walkmat import SplitMix64, edge_count, random_graph
+    from walkmat import edge_count
+    from walkmat.oracle import SplitMix64, random_graph
     for seed in range(40):
         rng = SplitMix64(seed)
         n = 2 + rng.below(8)
@@ -244,13 +155,6 @@ def test_char_poly_adjacency_coefficients():
         p = char_poly(g.adjacency)
         assert p.coeffs[n - 1] == 0
         assert p.coeffs[n - 2] == -edge_count(g)
-
-
-def test_poly_divides():
-    assert poly_divides(IntPolynomial([-1, 1]), IntPolynomial([-1, 0, 1]))
-    assert poly_divides(IntPolynomial(refdata.PAW_MAIN),
-                        IntPolynomial(refdata.PAW_CHAR))
-    assert not poly_divides(IntPolynomial([0, 1]), IntPolynomial([-1, 0, 1]))
 
 
 @given(small_matrix, st.randoms(use_true_random=False))
@@ -273,31 +177,6 @@ def test_rank_and_kernel_match_the_fraction_reference(grid):
     assert kernel_basis(m) == kernel_oracle(grid)
     assert all(type(x) is int or x.denominator > 1
                for v in kernel_basis(m) for x in v)
-
-
-def _outcome(fn):
-    try:
-        return fn()
-    except (NoSolution, NonUnique) as exc:
-        return type(exc)
-
-
-@given(linear_system())
-@settings(max_examples=200, deadline=None)
-def test_solve_and_solve_matrix_match_the_fraction_reference(system):
-    grid, rhs = system
-    a = ExactMatrix(grid)
-    expected = solve_oracle(grid, rhs)
-    got = _outcome(lambda: solve_matrix(a, ExactMatrix(rhs)))
-    assert got == (expected if isinstance(expected, type)
-                   else ExactMatrix(expected))
-    if isinstance(got, ExactMatrix):
-        assert all(type(x) is int or x.denominator > 1
-                   for i in range(got.rows) for x in got.row(i))
-    first = [row[0] for row in rhs]
-    expected = solve_oracle(grid, [[x] for x in first])
-    got = _outcome(lambda: [[x] for x in solve(a, first)])
-    assert got == expected
 
 
 def rref_mod_oracle(grid, p) -> tuple[list[list[int]], list[int]]:
@@ -378,7 +257,8 @@ def test_echelon_modulo_a_prime_of_w_and_identity_at_n64():
     # [W | I] of a seeded G(64, 1/2) pivoting in W's columns, as the
     # spectral analysis runs it: at rank 64 mod PRIME the rows are
     # [I | W^-1] mod p; mod 2, W has rank below 64
-    from walkmat import SplitMix64, VertexSet, random_graph, walk_matrix
+    from walkmat import VertexSet, walk_matrix
+    from walkmat.oracle import SplitMix64, random_graph
     n = 64
     w = walk_matrix(random_graph(n, SplitMix64(64)), VertexSet.full(n))
     grid = [list(w.w.row(v)) + [int(u == v) for u in range(n)]

@@ -3,13 +3,12 @@
 import pytest
 
 import refdata
-from walkmat import (SplitMix64, VertexSet, brute_force_isomorphic,
-                     count_walks, enumerate_graph_classes,
-                     exhaustive_roundtrip, float_eigencheck, from_edge_list,
-                     parse_graph6, random_graph, rank_statistics, rank,
-                     walk_matrix)
+from walkmat import VertexSet, from_edge_list, parse_graph6, rank, walk_matrix
 from walkmat.errors import EmptySet, TooLarge
-from walkmat.oracle import random_nonempty_set
+from walkmat.oracle import (SplitMix64, brute_force_isomorphic, count_walks,
+                            enumerate_graph_classes, exhaustive_roundtrip,
+                            float_eigencheck, random_graph,
+                            random_nonempty_set, rank_statistics)
 
 
 def test_count_walks_paw(paw, paw_sets):

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 import refdata
-from walkmat import (ExactMatrix, Graph, SplitMix64, VertexSet, WalkMatrix,
-                     from_edge_list, random_graph, rank, rank_n, rank_n1,
-                     rank_n2, reconstruct, verify_candidate, walk_matrix,
+from walkmat import (ExactMatrix, Graph, VertexSet, WalkMatrix, from_edge_list,
+                     rank, reconstruct, verify_candidate, walk_matrix,
                      ReconstructionInput)
 from walkmat.errors import (MissingEdgeCount, NegativeDiscriminant,
                             NotAWalkMatrix)
-from walkmat.oracle import random_nonempty_set
-from walkmat.reconstruct import derive_edge_count
-from walkmat.spectral import summary_from_walk
+from walkmat.oracle import SplitMix64, random_graph, random_nonempty_set
+from walkmat.reconstruct import _edge_count, _reconstruct, derive_edge_count
+from walkmat.spectral import _analyse, summary_from_walk
 
 
 def instances_with_rank(target_offset, count, max_n=9, full_set=None,
@@ -35,20 +34,29 @@ def instances_with_rank(target_offset, count, max_n=9, full_set=None,
     return out
 
 
+def exact_unique(w, m=None):
+    """The one graph that the exact formula finds for W (no prime), which
+    must also be reconstruct's answer."""
+    res = _reconstruct(_analyse(w), m)
+    assert res.status == "unique"
+    assert reconstruct(ReconstructionInput(w, m)) == res
+    return res.graphs[0]
+
+
 def test_rank_n_paw(paw, paw_sets):
     w = walk_matrix(paw, paw_sets[3])
-    assert rank_n(w).adj == paw.adj
+    assert exact_unique(w).adj == paw.adj
 
 
 def test_rank_n_single_vertex():
     w = WalkMatrix.from_matrix(ExactMatrix([[1]]))
-    g = rank_n(w)
+    g = exact_unique(w)
     assert g.n == 1 and g.adj == ((0,),)
 
 
 def test_rank_n_roundtrip_random():
     for g, s, w in instances_with_rank(0, 25, max_n=10):
-        assert rank_n(w).adj == g.adj
+        assert exact_unique(w).adj == g.adj
 
 
 def test_rank_n1_paw(paw, paw_sets):
@@ -56,19 +64,19 @@ def test_rank_n1_paw(paw, paw_sets):
     summary = summary_from_walk(w)
     # the non-main eigenvalue is the rational root -1
     assert summary.main_poly.coeffs[summary.r - 1] == -1
-    assert rank_n1(w).adj == paw.adj
+    assert exact_unique(w).adj == paw.adj
 
 
 def test_rank_n1_p3():
     p3 = from_edge_list(3, [(1, 2), (2, 3)])
     w = walk_matrix(p3, VertexSet.full(3))
     assert rank(w.w) == 2
-    assert rank_n1(w).adj == p3.adj
+    assert exact_unique(w).adj == p3.adj
 
 
 def test_rank_n1_roundtrip_random():
     for g, s, w in instances_with_rank(1, 20, max_n=10):
-        assert rank_n1(w).adj == g.adj
+        assert exact_unique(w).adj == g.adj
 
 
 def test_rank_n2_mates8(mates8):
@@ -76,12 +84,11 @@ def test_rank_n2_mates8(mates8):
     w = WalkMatrix.from_matrix(ExactMatrix(refdata.MATES8_W))
     assert rank(w.w) == 6
     assert derive_edge_count(w) == 10
-    res = rank_n2(w, 10)
+    res = _reconstruct(_analyse(w), 10)
     assert res.status == "pair"
     assert {g.adj for g in res.graphs} == {g1.adj, g2.adj}
     # and without the explicit count (S = V derives m from the degrees)
-    res2 = rank_n2(w)
-    assert {g.adj for g in res2.graphs} == {g1.adj, g2.adj}
+    assert reconstruct(ReconstructionInput(w)) == res
 
 
 def test_rank_n2_zero_discriminant_star():
@@ -89,8 +96,7 @@ def test_rank_n2_zero_discriminant_star():
     star = from_edge_list(n, edges)
     w = walk_matrix(star, VertexSet.full(n))
     assert rank(w.w) == n - 2
-    res = rank_n2(w)
-    assert res.status == "unique" and res.graphs[0].adj == star.adj
+    assert exact_unique(w, derive_edge_count(w)).adj == star.adj
 
 
 def test_rank_n2_zero_discriminant_with_isolated_vertex():
@@ -105,7 +111,7 @@ def test_rank_n2_zero_discriminant_with_isolated_vertex():
 
 def test_rank_n2_contains_original_random():
     for g, s, w in instances_with_rank(2, 12, max_n=9, full_set=True):
-        res = rank_n2(w)
+        res = _reconstruct(_analyse(w), derive_edge_count(w))
         assert res.status in ("unique", "pair")
         assert any(c.adj == g.adj for c in res.graphs)
         assert len(res.graphs) <= 2
@@ -117,7 +123,7 @@ def test_rank_n2_subset_instances_need_edge_count():
     found = instances_with_rank(2, 3, max_n=8, full_set=False)
     for g, s, w in found:
         with pytest.raises(MissingEdgeCount):
-            rank_n2(w)
+            _edge_count(w, None)
         res = reconstruct(ReconstructionInput(w))
         assert res.status == "undetermined" and res.reason == "missing_edge_count"
         from walkmat.graphs import edge_count
@@ -130,7 +136,8 @@ def test_rank_n2_negative_discriminant():
     star = from_edge_list(n, edges)
     w = walk_matrix(star, VertexSet.full(n))
     with pytest.raises(NegativeDiscriminant):
-        rank_n2(w, 0)   # lying about the edge count drives d negative
+        # lying about the edge count drives d negative
+        _reconstruct(_analyse(w), 0)
 
 
 def test_rank_n2_honours_the_given_edge_count():

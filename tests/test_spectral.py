@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_oracles import kernel_oracle, poly_remainder, rref_oracle
 import refdata
-from walkmat import (ExactMatrix, IntPolynomial, SplitMix64, VertexSet,
-                     char_poly, from_edge_list, kernel_basis,
-                     kernel_projector, main_eigen_realize,
-                     main_poly_via_dependence, poly_divides, random_graph,
-                     rank, restriction, spectral_summary, walk_matrix,
-                     walk_slice)
-from walkmat.oracle import random_nonempty_set
+from walkmat import (ExactMatrix, IntPolynomial, VertexSet, from_edge_list,
+                     kernel_basis, kernel_projector, main_eigen_realize, rank,
+                     restriction, spectral_summary, walk_matrix, walk_slice)
+from walkmat.oracle import (SplitMix64, char_poly, count_walks, random_graph,
+                            random_nonempty_set)
 from walkmat.spectral import summary_from_walk
 
 seeds = st.integers(0, 2**32 - 1)
@@ -64,9 +63,16 @@ def test_full_rank_branch_matches_char_poly(seed):
 @given(seeds)
 @settings(max_examples=60, deadline=None)
 def test_branches_agree_via_dependence(seed):
+    # the main polynomial as the first dependence among e, Ae, ..., A^n e:
+    # walk counts from integer matrix powers and a Fraction kernel, sharing
+    # no code with walk_matrix or walkmat.exact.  At full rank it uses the
+    # extra column A^n e, which the pivot-row branch never sees.
     g, s = sample_instance(seed, max_n=8)
     summary = spectral_summary(g, s)
-    assert main_poly_via_dependence(g, s) == summary.main_poly
+    counts = count_walks(g, s, g.n).counts
+    r = len(rref_oracle(counts)[1])
+    (dependence,) = kernel_oracle([row[:r + 1] for row in counts])
+    assert dependence == summary.main_poly.coeffs
 
 
 @given(seeds)
@@ -76,7 +82,8 @@ def test_main_poly_divides_char_and_annihilates(seed):
     summary = spectral_summary(g, s)
     assert summary.main_poly.coeffs[-1] == 1
     assert summary.main_poly.degree == summary.r == rank(walk_matrix(g, s).w)
-    assert poly_divides(summary.main_poly, char_poly(g.adjacency))
+    char = char_poly(g.adjacency).coeffs
+    assert not any(poly_remainder(summary.main_poly.coeffs, char))
     # main(A) e = 0 exactly
     r = summary.r
     cols = walk_slice(g, s, 0, r).m
@@ -170,8 +177,7 @@ def test_restriction_properties(seed):
     expected_rank = r if summary.main_poly(0) != 0 else r - 1
     assert rank(a_w) == expected_rank
     # columns of A_W lie in the column space of W
-    w0 = w.w.take_cols(range(r))
-    stacked = ExactMatrix([list(w0.row(i)) + list(a_w.row(i))
+    stacked = ExactMatrix([list(w.w.row(i)[:r]) + list(a_w.row(i))
                            for i in range(g.n)])
     assert rank(stacked) == r
 
@@ -326,8 +332,8 @@ def test_realize_check_survives_python_O():
     code = textwrap.dedent("""
         import json, sys
         import numpy as np
-        from walkmat import (Graph, SplitMix64, VertexSet, random_graph,
-                             rank, walk_matrix)
+        from walkmat import Graph, VertexSet, rank, walk_matrix
+        from walkmat.oracle import SplitMix64, random_graph
         from walkmat.spectral import main_eigen_realize
         g0 = random_graph(30, SplitMix64(30))
         twins = Graph(32, tuple(

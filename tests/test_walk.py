@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refdata
-from walkmat import (ExactMatrix, SplitMix64, VertexSet, WalkMatrix,
-                     additivity_check, count_walks, from_edge_list,
-                     hankel_matrix, random_graph, rank, shift_identity_check,
+from walkmat import (ExactMatrix, VertexSet, WalkMatrix, additivity_check,
+                     from_edge_list, hankel_matrix, rank, shift_identity_check,
                      walk_matrix, walk_slice)
 from walkmat.errors import EmptySet, NotDisjoint
-from walkmat.oracle import random_nonempty_set
+from walkmat.oracle import (SplitMix64, count_walks, random_graph,
+                            random_nonempty_set)
 from walkmat.walk import from_json, from_text, to_json, to_text
 
 
