@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import OrderMismatch, TheoremViolation
-from .exact import PRIME, ExactMatrix, _echelon, rank
+from .exact import ExactMatrix
 from .graphs import Graph, VertexSet
-from .spectral import restriction
+from .spectral import _rank_at_least, restriction
 from .walk import WalkMatrix, walk_matrix
 
 ISOMORPHIC = "isomorphic"
@@ -117,14 +117,9 @@ def certify_isomorphism(g1: Graph, s1: VertexSet,
     """
     if g1.n != g2.n:
         raise OrderMismatch(f"orders differ: {g1.n} vs {g2.n}")
-    n = g1.n
     w1 = walk_matrix(g1, s1)
     w2 = walk_matrix(g2, s2)
-    # the rank mod a prime is at most the rank over Q, so only a low one
-    # needs the exact rank
-    rank_p = len(_echelon([w1.w.row(i) for i in range(n)],
-                          modulus=PRIME)[1])
-    if rank_p < n - 1 and rank(w1.w) < n - 1:
+    if not _rank_at_least(w1, g1.n - 1):
         return IsoCertificate(INCONCLUSIVE, reason="rank_too_low")
     l1, l2 = lex_form(w1), lex_form(w2)
     if l1.matrix != l2.matrix:

@@ -20,10 +20,10 @@ import sys
 from pathlib import Path
 
 from . import canonical, spectral, walk
-from .errors import WalkmatError
+from .errors import MalformedHeader, WalkmatError
 from .exact import ExactMatrix
-from .graphs import (Graph, VertexSet, emit_graph6, parse_adjacency_text,
-                     parse_edge_list_text, parse_graph6)
+from .graphs import (Graph, VertexSet, _ints, emit_graph6,
+                     parse_adjacency_text, parse_edge_list_text, parse_graph6)
 from .reconstruct import ReconstructionInput, reconstruct, result_to_json
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def _parse_set(spec: str, n: int) -> VertexSet:
         return VertexSet.full(n)
     if spec.startswith("@"):
         spec = Path(spec[1:]).read_text()
-    members = [int(t) for t in spec.replace(",", " ").split()]
+    members = _ints(spec.replace(",", " "), MalformedHeader, "vertex set")
     return VertexSet.of(n, members)
 
 
@@ -139,10 +139,10 @@ def _cmd_mainpoly(args, out) -> int:
 def _cmd_spectral(args, out) -> int:
     g = _load_graph(args.graph)
     s = _parse_set(args.set, g.n)
-    # one analysis of W serves the summary and the realization
-    summary, realization = spectral._decompose(walk.walk_matrix(g, s),
-                                               args.numeric)
-    print(spectral.summary_to_json(summary, realization), file=out)
+    # one record of W serves the summary and the realization
+    record = spectral._Certified(walk.walk_matrix(g, s))
+    realization = record.realization() if args.numeric else None
+    print(spectral.summary_to_json(record.summary, realization), file=out)
     return EXIT_OK
 
 

@@ -30,11 +30,11 @@ class IndexOutOfRange(WalkmatError):
 
 
 class MalformedHeader(WalkmatError):
-    """graph6 size header is missing or invalid."""
+    """A header, declared vertex set or JSON shape is missing or invalid."""
 
 
 class TruncatedBody(WalkmatError):
-    """graph6 body has fewer bytes than the order requires."""
+    """An input body is short or holds a token that is not an integer."""
 
 
 class TrailingGarbage(WalkmatError):

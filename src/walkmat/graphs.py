@@ -16,8 +16,17 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (DuplicateEdge, IndexOutOfRange, LoopEdge,
-                     MalformedHeader, TrailingGarbage, TruncatedBody)
+                     MalformedHeader, TrailingGarbage, TruncatedBody,
+                     WalkmatError)
 from .exact import ExactMatrix
+
+
+def _ints(text: str, error: type[WalkmatError], what: str) -> list[int]:
+    """The whitespace-separated integers of text, or error naming what."""
+    try:
+        return [int(t) for t in text.split()]
+    except ValueError:
+        raise error(f"bad {what} {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -261,21 +270,18 @@ def parse_edge_list_text(text: str) -> Graph:
              if ln and not ln.startswith("#")]
     if not lines:
         raise MalformedHeader("empty edge list")
-    head = lines[0].split()
+    head = _ints(lines[0], MalformedHeader, "header line")
     if len(head) != 2:
         raise MalformedHeader(f"bad header line {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise MalformedHeader(f"bad header line {lines[0]!r}") from exc
+    n, m = head
     if len(lines) - 1 != m:
         raise TruncatedBody(f"header says {m} edges, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
+        edge = _ints(ln, TruncatedBody, "edge line")
+        if len(edge) != 2:
             raise TruncatedBody(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(tuple(edge))
     return from_edge_list(n, edges)
 
 
@@ -292,7 +298,7 @@ def parse_adjacency_text(text: str) -> Graph:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        rows.append(tuple(int(t) for t in ln.split()))
+        rows.append(tuple(_ints(ln, TruncatedBody, "adjacency row")))
     if not rows:
         raise MalformedHeader("empty adjacency matrix")
     n = len(rows)

@@ -22,13 +22,13 @@ exactly before it is returned.  r < n-2 is undetermined (the theory
 provides counterexamples); so is a W that no graph has (not_a_walk_matrix)
 and one whose candidates all fail.
 
-`reconstruct` first runs the same formulas modulo the prime p = PRIME: one
-elimination of [W | I] over GF(p), and every division by an inverse mod p.
-A candidate's residues lift to a 0/1 matrix when they are all 0 or 1, and
-the candidate is kept only if that matrix passes the exact
-`verify_candidate` and, at rank_p = n-2, has m edges; at rank_p = n that
-is `spectral._full_rank_graph`, which the forward calls share.  Exactly
-one kept graph is the whole answer:
+`reconstruct` first runs the same formulas modulo a prime p on the modular
+analysis of W's record (`spectral._Certified`): one elimination of [W | I]
+over GF(p), and every division by an inverse mod p.  A candidate's
+residues lift to a 0/1 matrix when they are all 0 or 1, and the candidate
+is kept only if that matrix passes the exact `verify_candidate` and, at
+rank_p = n-2, has m edges; at rank_p = n that is the record's graph, which
+the forward calls share.  Exactly one kept graph is the whole answer:
 
 * rank_Q >= rank_p, since a minor that is non-zero mod p is non-zero.
 * If rank_Q > rank_p >= n-2, then rank_Q >= n-1, where W determines A: the
@@ -55,10 +55,9 @@ from dataclasses import dataclass
 
 from .errors import (MissingEdgeCount, NegativeDiscriminant, NonUnique,
                      NotAWalkMatrix, WalkmatError)
-from .exact import PRIME, ExactMatrix, _divide_rows, _dot, _kernel
+from .exact import ExactMatrix, _divide_rows, _dot, _kernel
 from .graphs import Graph, edge_count, emit_graph6
-from .spectral import (_Analysis, _analyse, _full_rank_graph, _restriction,
-                       _summary)
+from .spectral import _Analysis, _Certified, _restriction, _summary
 # bench/tracing.py wraps walkmat.reconstruct.verify_candidate
 from .walk import WalkMatrix, verify_candidate
 
@@ -215,12 +214,12 @@ def _reconstruct(analysis: _Analysis,
     return ReconstructionResult.pair(*graphs)
 
 
-def _modular_graph(w: WalkMatrix, hint: int | None) -> Graph | None:
-    """The one graph the pipeline mod PRIME finds and verifies, or None,
+def _modular_graph(record: _Certified, hint: int | None) -> Graph | None:
+    """The one graph the pipeline mod the prime finds and verifies, or None,
     which leaves the call to the exact path (module docstring)."""
-    analysis = _analyse(w, PRIME)
+    w, analysis = record.w, record.modular
     if analysis.r == w.n:
-        a = _full_rank_graph(analysis)
+        a = record.graph
         return None if a is None else Graph(w.n, tuple(map(a.row, range(w.n))))
     if analysis.r < w.n - 2:
         return None
@@ -253,13 +252,14 @@ def derive_edge_count(w: WalkMatrix) -> int | None:
 
 
 def reconstruct(inp: ReconstructionInput) -> ReconstructionResult:
-    """The one graph found mod PRIME, or else the exact path's answer
+    """The one graph found mod the prime, or else the exact path's answer
     (module docstring); every returned graph regenerates W exactly."""
     w = inp.w
-    g = _modular_graph(w, inp.edge_count_hint)
+    record = _Certified(w)
+    g = _modular_graph(record, inp.edge_count_hint)
     if g is not None:
         return ReconstructionResult.unique(g)
-    analysis = _analyse(w)
+    analysis = record.exact
     r = analysis.r
     if r < w.n - 2:
         return ReconstructionResult.undetermined(RANK_TOO_LOW)

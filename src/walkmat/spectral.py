@@ -27,21 +27,22 @@ exact projector onto ker W^T, whose r largest eigenpairs are the main ones.
 It is checked against W at REALIZE_CHECK_TOL; every consumer that needs
 exactness re-verifies rationally.
 
-At rank n the summary, the restriction and the realization read the graph
-itself (`_certified_graph`).  The same formulas run modulo the prime
-p = PRIME give A = A_W mod p; residues that are all 0 or 1 are read as that
-0/1 matrix, kept only if it regenerates W exactly (`verify_candidate`).
-The rank mod p is at most the rank over Q, so rank n mod p proves rank n,
-where W determines A (A = W_[1,n] W^-1): the verified graph is the only
-one with this W, the restriction is A, and A_W - n P_K = A is what the
-realization diagonalises.  Rank n mod p alone proves ker W^T = 0, so the
-kernel projector is then zero with no exact elimination.  The characteristic polynomial c solves
-W c = -A^n e (Cayley-Hamilton) with A^n e = A W_{n-1}; it is lifted
-p-adically on T = W^-1 mod p, and an exact residual 0 certifies it, so it
-is the integral solution that the pivot-row route computes.  Any other
-outcome runs the exact route unchanged: rank below n mod p, a residue 0 to
-invert, no verified graph or a residual left; a W with two equal rows has
-rank below n and makes no modular attempt.
+Each public call analyses W once, through one record (`_Certified`): the
+elimination of [W | I] modulo the prime p = PRIME always, and the exact one
+only when the modular answer does not settle the call.  At rank n mod p
+the same formulas give A = A_W mod p; residues that are all 0 or 1 are
+read as that 0/1 matrix, kept only if it regenerates W exactly
+(`verify_candidate`).  The rank mod p is at most the rank over Q, so rank
+n mod p proves rank n, where W determines A (A = W_[1,n] W^-1): the
+verified graph is the only one with this W, the restriction is A, and
+A_W - n P_K = A is what the realization diagonalises.  Rank n mod p alone
+proves ker W^T = 0, so the kernel projector is then zero with no exact
+elimination.  The characteristic polynomial c solves W c = -A^n e
+(Cayley-Hamilton) with A^n e = A W_{n-1}; it is lifted p-adically on
+T = W^-1 mod p, and an exact residual 0 certifies it, so it is the
+integral solution that the pivot-row route computes.  Any other outcome
+runs the exact route unchanged: rank below n mod p, a residue 0 to invert,
+no verified graph or a residual left.
 """
 
 from __future__ import annotations
@@ -49,14 +50,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 from .errors import NotAWalkMatrix, RealizationFailed
-# rank is unused here but stays bound: bench/test_bench.py checks that the
-# tracer restores walkmat.spectral.rank
 from .exact import (PRIME, ExactMatrix, IntPolynomial, _divide_rows,
                     _divmod, _dot, _echelon, _pack, _ratio, _slot_bits,
-                    _unpack, rank)  # noqa: F401
+                    _unpack, rank)
 from .graphs import Graph, VertexSet
 from .walk import WalkMatrix, verify_candidate, walk_matrix
 
@@ -185,7 +185,7 @@ def _summary(a: _Analysis) -> SpectralSummary:
 
 def summary_from_walk(w: WalkMatrix) -> SpectralSummary:
     """Spectral summary computed from W alone (no graph needed)."""
-    return _decompose(w, False)[0]
+    return _Certified(w).summary
 
 
 def spectral_summary(g: Graph, s: VertexSet) -> SpectralSummary:
@@ -262,10 +262,10 @@ def _restriction(a: _Analysis, summary: SpectralSummary | None = None,
 
 def restriction_from_walk(w: WalkMatrix) -> Restriction:
     """A_W = W_[1,r] W^+, exact (W^+ the pseudo-inverse of W_[0,r-1])."""
-    certified = _certified_graph(w)
-    if certified is not None:
-        return Restriction(certified[1])
-    return Restriction(ExactMatrix(_divide_rows(*_restriction(_analyse(w)))))
+    record = _Certified(w)
+    if record.graph is not None:
+        return Restriction(record.graph)
+    return Restriction(ExactMatrix(_divide_rows(*_restriction(record.exact))))
 
 
 def restriction(g: Graph, s: VertexSet) -> Restriction:
@@ -275,9 +275,10 @@ def restriction(g: Graph, s: VertexSet) -> Restriction:
 def kernel_projector_from_walk(w: WalkMatrix) -> ExactMatrix:
     """K (K^T K)^{-1} K^T: exact orthogonal projector onto ker(W^T); zero
     when W has rank n modulo PRIME, which proves ker W^T = 0."""
-    if _full_rank_analysis(w) is not None:
+    record = _Certified(w)
+    if record.modular.r == w.n:
         return ExactMatrix.zeros(w.n, w.n)
-    kt = _analyse(w).kernel
+    kt = record.exact.kernel
     xcols, dg = _gram_solve(kt, w.n)
     return ExactMatrix([[_ratio(_dot([kj[v] for kj in kt], xc), dg)
                          for xc in xcols] for v in range(w.n)])
@@ -287,41 +288,57 @@ def kernel_projector(g: Graph, s: VertexSet) -> ExactMatrix:
     return kernel_projector_from_walk(walk_matrix(g, s))
 
 
-# --- the certified graph at full rank ---
+# --- the one record per walk matrix ---
 
-def _full_rank_graph(a: _Analysis) -> ExactMatrix | None:
-    """The graph A with the walk matrix a.w, from an analysis of it modulo
-    a prime at rank n: A = A_W, whose residues must all be 0 or 1, read as
-    that 0/1 matrix, which is kept only if it regenerates W exactly
-    (`verify_candidate`).  None when a step fails: a residue 0 to invert,
-    a polynomial that misses its checks, or a lifted matrix that is no
-    graph with this W.
-    """
-    try:
-        rows, den = _restriction(a)
-    except (NotAWalkMatrix, ZeroDivisionError):
-        return None
-    adj = ExactMatrix(_divide_rows(rows, den, a.modulus))
-    return adj if verify_candidate(adj, a.w) else None
+class _Certified:
+    """The analyses of one W that the public calls read, each made at most
+    once: modulo PRIME always, the rest on demand (module docstring)."""
+
+    def __init__(self, w: WalkMatrix):
+        self.w = w
+        self.modular = _analyse(w, PRIME)
+
+    @cached_property
+    def graph(self) -> ExactMatrix | None:
+        """The graph A_W certified at rank n mod PRIME; None below it, or
+        when a residue 0 is met, a check fails or the residues are no graph
+        with this W."""
+        a = self.modular
+        if a.r < self.w.n:
+            return None
+        try:
+            adj = ExactMatrix(_divide_rows(*_restriction(a), a.modulus))
+        except (NotAWalkMatrix, ZeroDivisionError):
+            return None
+        return adj if verify_candidate(adj, self.w) else None
+
+    @cached_property
+    def exact(self) -> _Analysis:
+        return _analyse(self.w)
+
+    @cached_property
+    def summary(self) -> SpectralSummary:
+        """From the graph and the Dixon lift, else from the exact analysis."""
+        if self.graph is not None:
+            char = _char_from_graph(self.modular, self.graph)
+            if char is not None:
+                return SpectralSummary(self.w.n, char, True, char)
+        return _summary(self.exact)
+
+    def realization(self) -> NumericRealization:
+        """From the graph, else from A_W - n P_K of the exact analysis."""
+        w = self.w
+        if self.graph is not None:
+            return _realize(w, w.n, list(map(self.graph.row, range(w.n))), 1)
+        a = self.exact
+        return _realize(w, a.r, *_restriction(a, self.summary, shift=w.n))
 
 
-def _full_rank_analysis(w: WalkMatrix) -> _Analysis | None:
-    """The analysis of W modulo PRIME when W has rank n there, else None.
-    Two equal rows of W put its rank below n, so such a W makes no modular
-    attempt."""
-    if len(set(map(w.w.row, range(w.n)))) < w.n:
-        return None
-    a = _analyse(w, PRIME)
-    return a if a.r == w.n else None
-
-
-def _certified_graph(w: WalkMatrix) -> tuple[_Analysis, ExactMatrix] | None:
-    """The analysis of W modulo PRIME and the one graph with this W, when
-    it has rank n there and `_full_rank_graph` finds that graph; otherwise
-    None, and the caller runs the exact path."""
-    a = _full_rank_analysis(w)
-    adj = None if a is None else _full_rank_graph(a)
-    return None if adj is None else (a, adj)
+def _rank_at_least(w: WalkMatrix, r: int) -> bool:
+    """rank W >= r.  The rank mod PRIME, from W alone, is at most the rank
+    over Q, so only a rank mod p below r needs the exact rank."""
+    rows = [w.w.row(v) for v in range(w.n)]
+    return len(_echelon(rows, modulus=PRIME)[1]) >= r or rank(w.w) >= r
 
 
 def _char_from_graph(a: _Analysis, adj: ExactMatrix) -> IntPolynomial | None:
@@ -356,32 +373,11 @@ def _char_from_graph(a: _Analysis, adj: ExactMatrix) -> IntPolynomial | None:
     return None if any(b) else IntPolynomial(c + [1])
 
 
-def _decompose(w: WalkMatrix, numeric: bool, summarise: bool = True
-               ) -> tuple[SpectralSummary | None, NumericRealization | None]:
-    """The summary of W (None when not summarise) and, when numeric, its
-    realization: from the certified graph at rank n (module docstring),
-    else from one exact analysis.  Only the summary needs the Dixon lift
-    of the characteristic polynomial."""
-    certified = _certified_graph(w)
-    char = (_char_from_graph(*certified)
-            if certified is not None and summarise else None)
-    if certified is not None and (char is not None or not summarise):
-        adj = certified[1]
-        return (SpectralSummary(w.n, char, True, char) if summarise
-                else None,
-                _realize(w, w.n, list(map(adj.row, range(w.n))), 1)
-                if numeric else None)
-    a = _analyse(w)
-    summary = _summary(a)
-    return (summary, _realize(w, a.r, *_restriction(a, summary, shift=w.n))
-            if numeric else None)
-
-
 # --- numeric realization ---
 
 def realize_from_walk(w: WalkMatrix) -> NumericRealization:
     """Numeric (mu, M, E) with W = E*M checked at REALIZE_CHECK_TOL."""
-    return _decompose(w, True, summarise=False)[1]
+    return _Certified(w).realization()
 
 
 def _realize(w: WalkMatrix, r: int, shifted, den: int) -> NumericRealization:

@@ -14,7 +14,7 @@ from itertools import compress
 
 from .errors import EmptySet, NotDisjoint, MalformedHeader, TruncatedBody
 from .exact import ExactMatrix
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, _ints
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,10 @@ def from_text(text: str) -> WalkMatrix:
         if ln.startswith("#"):
             tail = ln[1:].strip()
             if tail.lower().startswith("set:"):
-                declared = [int(t) for t in tail[4:].replace(",", " ").split()]
+                declared = _ints(tail[4:].replace(",", " "),
+                                 MalformedHeader, "set header")
             continue
-        rows.append([int(t) for t in ln.split()])
+        rows.append(_ints(ln, TruncatedBody, "walk-matrix row"))
     if not rows:
         raise MalformedHeader("empty walk-matrix text")
     n = len(rows)

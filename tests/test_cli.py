@@ -11,7 +11,10 @@ from pathlib import Path
 import pytest
 
 import refdata
-from walkmat.cli import main
+from walkmat.cli import _parse_set, main
+from walkmat.errors import MalformedHeader, TruncatedBody
+from walkmat.graphs import parse_adjacency_text, parse_edge_list_text
+from walkmat.walk import from_text
 
 
 def run(argv):
@@ -79,10 +82,11 @@ def test_spectral_numeric(paw_al, tmp_path):
 
 
 def test_spectral_numeric_analyses_w_once(paw_al, monkeypatch):
-    # the summary and the realization share one [W | I] elimination: at
-    # rank n (S = {3}) it is the only one, modulo the prime, and both read
-    # the graph certified from it; at rank n-1 (S = V) it is exact and the
-    # realization adds the elimination of [G | K^T], G = K^T K
+    # the summary and the realization share one record of W: at rank n
+    # (S = {3}) its modular [W | I] elimination is the only one, and both
+    # read the graph certified from it; at rank n-1 (S = V) the record adds
+    # the exact elimination and the realization that of [G | K^T],
+    # G = K^T K
     import walkmat.exact
     import walkmat.spectral
     calls = []
@@ -94,7 +98,7 @@ def test_spectral_numeric_analyses_w_once(paw_al, monkeypatch):
 
     monkeypatch.setattr(walkmat.exact, "_echelon", counted)
     monkeypatch.setattr(walkmat.spectral, "_echelon", counted)
-    for spec, expected in (("3", 1), ("V", 2)):
+    for spec, expected in (("3", 1), ("V", 3)):
         calls.clear()
         code, _ = run(["spectral", paw_al, "--set", spec, "--numeric"])
         assert code == 0 and len(calls) == expected
@@ -249,6 +253,29 @@ def test_malformed_walk_json_is_a_data_error(tmp_path):
             from_json(text)
         p.write_text(text)
         assert run(["reconstruct", str(p)]) == (3, "")
+
+
+PAW_EL = "4 4\n" + "".join(f"{i} {j}\n" for i, j in refdata.PAW_EDGES)
+
+
+@pytest.mark.parametrize("command, name, text, extra, parse", [
+    ("reconstruct", "w.txt", "[1, 2]\n", [], from_text),
+    ("reconstruct", "w.txt", "1 x\n0 1\n", [], from_text),
+    ("reconstruct", "w.txt", "# set: 1,x\n1 0\n1 1\n", [], from_text),
+    ("walk", "paw.al", PAW_EL, ["--set", "1,x"],
+     lambda _: _parse_set("1,x", 4)),
+    ("walk", "g.el", "2 1\n1 x\n", [], parse_edge_list_text),
+    ("walk", "g.am", "0 1\n1 y\n", [], parse_adjacency_text),
+], ids=["json-array", "walk-row", "walk-set", "set", "edge", "adjacency"])
+def test_non_integer_token_is_a_typed_data_error(tmp_path, command, name,
+                                                 text, extra, parse):
+    # the parser itself raises a typed error for a token that is not an
+    # integer, and the CLI exits 3 with nothing on stdout
+    with pytest.raises((MalformedHeader, TruncatedBody)):
+        parse(text)
+    p = tmp_path / name
+    p.write_text(text)
+    assert run([command, str(p), *extra]) == (3, "")
 
 
 def test_stdin_input(monkeypatch):

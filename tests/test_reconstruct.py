@@ -343,11 +343,13 @@ def _fallback_inputs():
 
 
 def _forward_outputs(w):
-    """The summary, A_W and mu of W, each the exception type it raised."""
-    from walkmat.spectral import realize_from_walk, restriction_from_walk
+    """The summary, A_W, P_K and mu of W, each the exception type it
+    raised."""
+    from walkmat.spectral import (kernel_projector_from_walk,
+                                  realize_from_walk, restriction_from_walk)
     out = []
     for fn in (summary_from_walk, lambda w: restriction_from_walk(w).a_w,
-               lambda w: realize_from_walk(w).mu):
+               kernel_projector_from_walk, lambda w: realize_from_walk(w).mu):
         try:
             out.append(fn(w))
         except Exception as exc:
@@ -366,8 +368,7 @@ def test_forced_fallback_keeps_every_output(monkeypatch, echelon_calls):
     assert {res.status for res in expected} == \
         {"unique", "pair", "undetermined"}
     forward = [_forward_outputs(w) for w, _ in inputs]
-    # walkmat.reconstruct is the function; the module is in sys.modules
-    monkeypatch.setattr(sys.modules["walkmat.reconstruct"], "PRIME", 7)
+    # spectral is the one module that reads the prime
     monkeypatch.setattr(sys.modules["walkmat.spectral"], "PRIME", 7)
     fell_back = forward_fell_back = 0
     for (w, hint), want, want_forward in zip(inputs, expected, forward):
@@ -375,13 +376,13 @@ def test_forced_fallback_keeps_every_output(monkeypatch, echelon_calls):
         assert reconstruct(ReconstructionInput(w, hint)) == want
         fell_back += want.status == "unique" and 0 in echelon_calls
         echelon_calls.clear()
-        summary, a_w, mu = _forward_outputs(w)
-        assert [summary, a_w] == want_forward[:2]
+        summary, a_w, p_k, mu = _forward_outputs(w)
+        assert [summary, a_w, p_k] == want_forward[:3]
         if isinstance(mu, tuple):
-            assert len(mu) == len(want_forward[2])
-            assert np.allclose(mu, want_forward[2], rtol=0, atol=1e-12)
+            assert len(mu) == len(want_forward[3])
+            assert np.allclose(mu, want_forward[3], rtol=0, atol=1e-12)
         else:
-            assert mu == want_forward[2]
+            assert mu == want_forward[3]
         # a unique answer means that W is a walk matrix
         forward_fell_back += (want.status == "unique" and summary.full_rank
                               and 0 in echelon_calls)
@@ -419,18 +420,22 @@ def test_unique_answer_runs_no_exact_elimination(echelon_calls):
     assert res.status == "undetermined" and n_exact > 0
 
 
-def test_one_analysis_per_walk_matrix(echelon_calls, paw, paw_sets):
+def test_one_analysis_per_walk_matrix(echelon_calls, paw, paw_sets,
+                                      mates8):
     # each call eliminates [W | I] once, and at rank n that is all: the
     # characteristic polynomial comes from the pivot rows T and A_W is a
     # product.  Below rank n the restriction, the realization and the
     # projector add the elimination of [G | K^T] (G = K^T K) and
     # reconstruct also the zero-diagonal system.  reconstruct runs these
     # modulo a prime and repeats them exactly only when it does not find
-    # exactly one graph there: mates8 is a pair.  At rank n the summary,
-    # the restriction and the realization read the graph certified from
-    # the one modular elimination, and the projector is zero after it; n1
-    # and n2 have equal rows of W, which rule out rank n before any
-    # elimination
+    # exactly one graph there: mates8 is a pair.  Every call makes the one
+    # modular elimination of W's record.  At rank n the summary, the
+    # restriction and the realization read the graph certified from it,
+    # and the projector is zero after it; below rank n (n1 and n2, which
+    # have equal rows of W) the forward calls add the record's exact one.
+    # The isomorphism gate takes the rank mod p of W alone, and the exact
+    # rank only below n-1
+    from walkmat import certify_isomorphism, parse_graph6
     from walkmat.spectral import (kernel_projector_from_walk,
                                   realize_from_walk, restriction_from_walk)
     full = walk_matrix(paw, paw_sets[3])
@@ -445,15 +450,22 @@ def test_one_analysis_per_walk_matrix(echelon_calls, paw, paw_sets):
         return exact, len(echelon_calls) - exact
 
     for w, offset in ((full, 0), (n1, 1), (n2, 2)):
-        forward = (0, 1) if offset == 0 else (2, 0)
+        forward = (0, 1) if offset == 0 else (2, 1)
         assert count(summary_from_walk, w) == \
-            ((0, 1) if offset == 0 else (1, 0))
+            ((0, 1) if offset == 0 else (1, 1))
         assert count(restriction_from_walk, w) == forward
         assert count(lambda w: reconstruct(ReconstructionInput(w)), w) == \
             ((3 if offset == 2 else 0), (1 if offset == 0 else 3))
         assert count(realize_from_walk, w) == forward
         # at rank n, ker W^T is trivial, which the rank mod p proves
         assert count(kernel_projector_from_walk, w) == forward
+    mates7 = parse_graph6(refdata.MATES7_G6)
+    for g, s, expected in ((paw, paw_sets[3], (0, 1)),
+                           (paw, paw_sets["V"], (0, 1)),
+                           (mates8[0], VertexSet.full(8), (1, 1)),
+                           (mates7, VertexSet.full(7), (1, 1))):
+        assert count(lambda _: certify_isomorphism(g, s, g, s), None) == \
+            expected
 
 
 def test_rank_n2_twin_stress_up_to_n16():
