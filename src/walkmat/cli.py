@@ -139,10 +139,12 @@ def _cmd_mainpoly(args, out) -> int:
 def _cmd_spectral(args, out) -> int:
     g = _load_graph(args.graph)
     s = _parse_set(args.set, g.n)
-    # one record of W serves the summary and the realization
-    record = spectral._Certified(walk.walk_matrix(g, s))
+    # one record of W serves the summary and the realization; the summary
+    # goes first, as its elimination also gives the realization's rank
+    record = spectral._Certified(walk.walk_matrix(g, s), g)
+    summary = record.summary
     realization = record.realization() if args.numeric else None
-    print(spectral.summary_to_json(record.summary, realization), file=out)
+    print(spectral.summary_to_json(summary, realization), file=out)
     return EXIT_OK
 
 

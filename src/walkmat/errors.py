@@ -34,7 +34,8 @@ class MalformedHeader(WalkmatError):
 
 
 class TruncatedBody(WalkmatError):
-    """An input body is short or holds a token that is not an integer."""
+    """An input body is short or holds a token that is not an integer, or
+    an adjacency entry that is not 0 or 1."""
 
 
 class TrailingGarbage(WalkmatError):

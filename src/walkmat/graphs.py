@@ -274,6 +274,8 @@ def parse_edge_list_text(text: str) -> Graph:
     if len(head) != 2:
         raise MalformedHeader(f"bad header line {lines[0]!r}")
     n, m = head
+    if n < 0:
+        raise MalformedHeader(f"negative order in header {lines[0]!r}")
     if len(lines) - 1 != m:
         raise TruncatedBody(f"header says {m} edges, found {len(lines) - 1}")
     edges = []
@@ -298,7 +300,10 @@ def parse_adjacency_text(text: str) -> Graph:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        rows.append(tuple(_ints(ln, TruncatedBody, "adjacency row")))
+        row = tuple(_ints(ln, TruncatedBody, "adjacency row"))
+        if not set(row) <= {0, 1}:
+            raise TruncatedBody(f"adjacency row {ln!r} is not 0/1")
+        rows.append(row)
     if not rows:
         raise MalformedHeader("empty adjacency matrix")
     n = len(rows)

@@ -220,7 +220,7 @@ def _modular_graph(record: _Certified, hint: int | None) -> Graph | None:
     w, analysis = record.w, record.modular
     if analysis.r == w.n:
         a = record.graph
-        return None if a is None else Graph(w.n, tuple(map(a.row, range(w.n))))
+        return None if a is None else Graph(w.n, a)
     if analysis.r < w.n - 2:
         return None
     try:

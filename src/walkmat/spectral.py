@@ -27,22 +27,32 @@ exact projector onto ker W^T, whose r largest eigenpairs are the main ones.
 It is checked against W at REALIZE_CHECK_TOL; every consumer that needs
 exactness re-verifies rationally.
 
-Each public call analyses W once, through one record (`_Certified`): the
-elimination of [W | I] modulo the prime p = PRIME always, and the exact one
-only when the modular answer does not settle the call.  At rank n mod p
-the same formulas give A = A_W mod p; residues that are all 0 or 1 are
-read as that 0/1 matrix, kept only if it regenerates W exactly
-(`verify_candidate`).  The rank mod p is at most the rank over Q, so rank
-n mod p proves rank n, where W determines A (A = W_[1,n] W^-1): the
-verified graph is the only one with this W, the restriction is A, and
-A_W - n P_K = A is what the realization diagonalises.  Rank n mod p alone
-proves ker W^T = 0, so the kernel projector is then zero with no exact
-elimination.  The characteristic polynomial c solves W c = -A^n e
-(Cayley-Hamilton) with A^n e = A W_{n-1}; it is lifted p-adically on
-T = W^-1 mod p, and an exact residual 0 certifies it, so it is the
-integral solution that the pivot-row route computes.  Any other outcome
-runs the exact route unchanged: rank below n mod p, a residue 0 to invert,
-no verified graph or a residual left.
+Each public call analyses W once, through one record (`_Certified`): one
+elimination modulo the prime p = PRIME always, and the exact one only when
+the modular answer does not settle the call.  The rank mod p is at most the
+rank over Q, so rank n mod p proves rank n, where W determines A
+(A = W_[1,n] W^-1): there is one graph with this W, the restriction is A,
+and A_W - n P_K = A is what the realization diagonalises.  Rank n mod p
+alone also proves ker W^T = 0, so the kernel projector is then zero with no
+exact elimination.  Where that graph comes from depends on the caller:
+
+* From W alone (`*_from_walk`, `reconstruct`): the elimination is of
+  [W | I], and at rank n mod p the same formulas give A = A_W mod p;
+  residues that are all 0 or 1 are read as that 0/1 matrix, kept only if
+  it regenerates W exactly (`verify_candidate`).
+* From the graph g that built W (`spectral_summary`, `restriction`,
+  `main_eigen_realize`, `kernel_projector`): at rank n mod p the graph is
+  g's own rows, with nothing rebuilt or re-verified, since g regenerates
+  W by construction and is the only graph that does.  The restriction,
+  the realization and the projector need only that rank, so their one
+  modular elimination is of W alone (n columns); the summary's is of
+  [W | I], for T.
+
+The characteristic polynomial c solves W c = -A^n e (Cayley-Hamilton) with
+A^n e = A W_{n-1}; it is lifted p-adically on T = W^-1 mod p, and an exact
+residual 0 certifies it, so it is the integral solution that the pivot-row
+route computes.  Any other outcome runs the exact route unchanged: rank
+below n mod p, a residue 0 to invert, no verified graph or a residual left.
 """
 
 from __future__ import annotations
@@ -189,7 +199,7 @@ def summary_from_walk(w: WalkMatrix) -> SpectralSummary:
 
 
 def spectral_summary(g: Graph, s: VertexSet) -> SpectralSummary:
-    return summary_from_walk(walk_matrix(g, s))
+    return _Certified(walk_matrix(g, s), g).summary
 
 
 def _gram_solve(kt, n: int, modulus: int = 0
@@ -262,55 +272,65 @@ def _restriction(a: _Analysis, summary: SpectralSummary | None = None,
 
 def restriction_from_walk(w: WalkMatrix) -> Restriction:
     """A_W = W_[1,r] W^+, exact (W^+ the pseudo-inverse of W_[0,r-1])."""
-    record = _Certified(w)
-    if record.graph is not None:
-        return Restriction(record.graph)
-    return Restriction(ExactMatrix(_divide_rows(*_restriction(record.exact))))
+    return _Certified(w).restriction()
 
 
 def restriction(g: Graph, s: VertexSet) -> Restriction:
-    return restriction_from_walk(walk_matrix(g, s))
+    return _Certified(walk_matrix(g, s), g).restriction()
 
 
 def kernel_projector_from_walk(w: WalkMatrix) -> ExactMatrix:
     """K (K^T K)^{-1} K^T: exact orthogonal projector onto ker(W^T); zero
     when W has rank n modulo PRIME, which proves ker W^T = 0."""
-    record = _Certified(w)
-    if record.modular.r == w.n:
-        return ExactMatrix.zeros(w.n, w.n)
-    kt = record.exact.kernel
-    xcols, dg = _gram_solve(kt, w.n)
-    return ExactMatrix([[_ratio(_dot([kj[v] for kj in kt], xc), dg)
-                         for xc in xcols] for v in range(w.n)])
+    return _Certified(w).kernel_projector()
 
 
 def kernel_projector(g: Graph, s: VertexSet) -> ExactMatrix:
-    return kernel_projector_from_walk(walk_matrix(g, s))
+    return _Certified(walk_matrix(g, s), g).kernel_projector()
 
 
 # --- the one record per walk matrix ---
 
 class _Certified:
     """The analyses of one W that the public calls read, each made at most
-    once: modulo PRIME always, the rest on demand (module docstring)."""
+    once and only when a call reads it (module docstring).  g, passed only
+    by the graph-facing calls, is the graph that W was built from."""
 
-    def __init__(self, w: WalkMatrix):
+    def __init__(self, w: WalkMatrix, g: Graph | None = None):
         self.w = w
-        self.modular = _analyse(w, PRIME)
+        self._g = g
 
     @cached_property
-    def graph(self) -> ExactMatrix | None:
-        """The graph A_W certified at rank n mod PRIME; None below it, or
-        when a residue 0 is met, a check fails or the residues are no graph
-        with this W."""
-        a = self.modular
-        if a.r < self.w.n:
+    def modular(self) -> _Analysis:
+        """The elimination of [W | I] modulo PRIME."""
+        return _analyse(self.w, PRIME)
+
+    @cached_property
+    def full_rank_mod_p(self) -> bool:
+        """rank W = n modulo PRIME, which proves it over Q: from `modular`
+        when the record has made it or has no g, else from W alone."""
+        if self._g is None or "modular" in vars(self):
+            return self.modular.r == self.w.n
+        return _rank_mod_prime(self.w) == self.w.n
+
+    @cached_property
+    def graph(self) -> tuple[tuple[int, ...], ...] | None:
+        """The rows of the one graph with this W, at rank n mod PRIME: g's
+        own, else A_W mod PRIME; None below that rank, or (without g) when a
+        residue 0 is met, a check fails or the residues are no graph with
+        this W."""
+        if not self.full_rank_mod_p:
             return None
+        if self._g is not None:
+            return self._g.adj
+        a = self.modular
         try:
             adj = ExactMatrix(_divide_rows(*_restriction(a), a.modulus))
         except (NotAWalkMatrix, ZeroDivisionError):
             return None
-        return adj if verify_candidate(adj, self.w) else None
+        if not verify_candidate(adj, self.w):
+            return None
+        return tuple(map(adj.row, range(self.w.n)))
 
     @cached_property
     def exact(self) -> _Analysis:
@@ -318,32 +338,57 @@ class _Certified:
 
     @cached_property
     def summary(self) -> SpectralSummary:
-        """From the graph and the Dixon lift, else from the exact analysis."""
+        """From the graph and the Dixon lift, else from the exact analysis.
+        The lift reads T of `modular`, made first, so the graph's rank is
+        read from it too."""
+        a = self.modular
         if self.graph is not None:
-            char = _char_from_graph(self.modular, self.graph)
+            char = _char_from_graph(a, self.graph)
             if char is not None:
                 return SpectralSummary(self.w.n, char, True, char)
         return _summary(self.exact)
+
+    def restriction(self) -> Restriction:
+        """The graph, else A_W of the exact analysis."""
+        if self.graph is not None:
+            return Restriction(ExactMatrix(self.graph))
+        num, den = _restriction(self.exact)
+        return Restriction(ExactMatrix(_divide_rows(num, den)))
+
+    def kernel_projector(self) -> ExactMatrix:
+        """Zero at rank n mod PRIME, else from the exact kernel."""
+        n = self.w.n
+        if self.full_rank_mod_p:
+            return ExactMatrix.zeros(n, n)
+        kt = self.exact.kernel
+        xcols, dg = _gram_solve(kt, n)
+        return ExactMatrix([[_ratio(_dot([kj[v] for kj in kt], xc), dg)
+                             for xc in xcols] for v in range(n)])
 
     def realization(self) -> NumericRealization:
         """From the graph, else from A_W - n P_K of the exact analysis."""
         w = self.w
         if self.graph is not None:
-            return _realize(w, w.n, list(map(self.graph.row, range(w.n))), 1)
+            return _realize(w, w.n, self.graph, 1)
         a = self.exact
-        return _realize(w, a.r, *_restriction(a, self.summary, shift=w.n))
+        return _realize(w, a.r, *_restriction(a, shift=w.n))
+
+
+def _rank_mod_prime(w: WalkMatrix) -> int:
+    """rank W modulo PRIME, from the elimination of W alone; at most the
+    rank over Q."""
+    return len(_echelon([w.w.row(v) for v in range(w.n)], modulus=PRIME)[1])
 
 
 def _rank_at_least(w: WalkMatrix, r: int) -> bool:
-    """rank W >= r.  The rank mod PRIME, from W alone, is at most the rank
-    over Q, so only a rank mod p below r needs the exact rank."""
-    rows = [w.w.row(v) for v in range(w.n)]
-    return len(_echelon(rows, modulus=PRIME)[1]) >= r or rank(w.w) >= r
+    """rank W >= r: only a rank mod PRIME below r needs the exact rank."""
+    return _rank_mod_prime(w) >= r or rank(w.w) >= r
 
 
-def _char_from_graph(a: _Analysis, adj: ExactMatrix) -> IntPolynomial | None:
-    """The characteristic polynomial of the certified graph adj, with the
-    analysis a of its walk matrix modulo p: the c with W c = -A^n e.
+def _char_from_graph(a: _Analysis, adj) -> IntPolynomial | None:
+    """The characteristic polynomial of the graph with the 0/1 rows adj,
+    with the analysis a of its walk matrix modulo p: the c with
+    W c = -A^n e.
 
     A^n e = A W_{n-1} exactly, and c is lifted p-adically (Dixon) on
     T = W^-1 mod p: each step takes the balanced digit x = T b mod p of
@@ -357,7 +402,7 @@ def _char_from_graph(a: _Analysis, adj: ExactMatrix) -> IntPolynomial | None:
     n = w.n
     rows = [w.w.row(v) for v in range(n)]
     last = w.w.col(n - 1)
-    b = [-sum(compress(last, adj.row(v))) for v in range(n)]
+    b = [-sum(compress(last, row)) for row in adj]
     bound = max(math.comb(n, k) * (n - 1) ** (n - k) for k in range(n))
     half = p // 2
     c, scale = [0] * n, 1
@@ -410,7 +455,7 @@ def _realize(w: WalkMatrix, r: int, shifted, den: int) -> NumericRealization:
 
 
 def main_eigen_realize(g: Graph, s: VertexSet) -> NumericRealization:
-    return realize_from_walk(walk_matrix(g, s))
+    return _Certified(walk_matrix(g, s), g).realization()
 
 
 # --- serialization ---

@@ -278,6 +278,22 @@ def test_non_integer_token_is_a_typed_data_error(tmp_path, command, name,
     assert run([command, str(p), *extra]) == (3, "")
 
 
+@pytest.mark.parametrize("name, text, parse, error", [
+    ("g.el", "-1 0\n", parse_edge_list_text, MalformedHeader),
+    ("g.am", "0 2\n2 0\n", parse_adjacency_text, TruncatedBody),
+], ids=["negative-order", "adjacency-entry"])
+def test_out_of_range_value_is_a_typed_data_error(tmp_path, name, text,
+                                                  parse, error):
+    # a negative order and an adjacency entry other than 0 or 1 are refused
+    # by the parser itself, not by the Graph constructor, and the CLI exits
+    # 3 with nothing on stdout
+    with pytest.raises(error):
+        parse(text)
+    p = tmp_path / name
+    p.write_text(text)
+    assert run(["walk", str(p)]) == (3, "")
+
+
 def test_stdin_input(monkeypatch):
     import io as _io
     monkeypatch.setattr("sys.stdin", _io.StringIO("C~\n"))

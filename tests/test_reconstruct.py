@@ -317,76 +317,146 @@ def test_reconstruct_at_n64_in_every_rank_class():
 
 
 def _fallback_inputs():
-    """Seeded unique, pair, garbage and hinted inputs: (walk matrix, hint)."""
+    """Seeded unique, pair, garbage and hinted inputs: (walk matrix, hint,
+    the graph that built W or None)."""
     from walkmat.graphs import edge_count
-    out = [(WalkMatrix.from_matrix(ExactMatrix(refdata.MATES8_W)), None),
-           (WalkMatrix.from_matrix(ExactMatrix(refdata.MATES7_W)), None)]
+    out = [(WalkMatrix.from_matrix(ExactMatrix(refdata.MATES8_W)), None,
+            None),
+           (WalkMatrix.from_matrix(ExactMatrix(refdata.MATES7_W)), None,
+            None)]
     for seed in range(60):
         rng = SplitMix64(seed)
         n = 3 + rng.below(8)
         g = random_graph(n, rng)
         s = VertexSet.full(n) if seed % 2 else random_nonempty_set(n, rng)
         w = walk_matrix(g, s)
-        out += [(w, None), (w, edge_count(g)), (w, edge_count(g) + 1)]
+        out += [(w, None, g), (w, edge_count(g), g),
+                (w, edge_count(g) + 1, g)]
     for seed in range(20):
         g = _with_twin_pair(seed, 6 + seed % 5, bool(seed % 2))
         if g is not None:
-            out.append((walk_matrix(g, VertexSet.full(g.n)), None))
+            out.append((walk_matrix(g, VertexSet.full(g.n)), None, g))
     rng = SplitMix64(4242)
     for _ in range(60):
         n = 2 + rng.below(6)
         grid = [[rng.next_bit() if k == 0 else rng.below(9)
                  for k in range(n)] for _ in range(n)]
         grid[0][0] = 1
-        out.append((WalkMatrix.from_matrix(ExactMatrix(grid)), rng.below(6)))
+        out.append((WalkMatrix.from_matrix(ExactMatrix(grid)), rng.below(6),
+                    None))
     return out
 
 
-def _forward_outputs(w):
+def _forward_outputs(w, g=None):
     """The summary, A_W, P_K and mu of W, each the exception type it
-    raised."""
-    from walkmat.spectral import (kernel_projector_from_walk,
-                                  realize_from_walk, restriction_from_walk)
+    raised: from the walk-facing calls, or from the graph-facing ones when
+    g, the graph that built W, is given."""
+    from walkmat import spectral
+    if g is None:
+        calls = [lambda: spectral.summary_from_walk(w),
+                 lambda: spectral.restriction_from_walk(w).a_w,
+                 lambda: spectral.kernel_projector_from_walk(w),
+                 lambda: spectral.realize_from_walk(w).mu]
+    else:
+        s = w.vertex_set
+        calls = [lambda: spectral.spectral_summary(g, s),
+                 lambda: spectral.restriction(g, s).a_w,
+                 lambda: spectral.kernel_projector(g, s),
+                 lambda: spectral.main_eigen_realize(g, s).mu]
     out = []
-    for fn in (summary_from_walk, lambda w: restriction_from_walk(w).a_w,
-               kernel_projector_from_walk, lambda w: realize_from_walk(w).mu):
+    for call in calls:
         try:
-            out.append(fn(w))
+            out.append(call())
         except Exception as exc:
             out.append(type(exc))
     return out
 
 
+def _assert_same_forward(got, want, mu_exact):
+    """Equal summary, A_W and P_K; mu bit for bit when mu_exact, else
+    within 1e-12."""
+    assert got[:3] == want[:3]
+    if isinstance(want[3], tuple) and not mu_exact:
+        assert len(got[3]) == len(want[3])
+        assert np.allclose(got[3], want[3], rtol=0, atol=1e-12)
+    else:
+        assert got[3] == want[3]
+
+
 def test_forced_fallback_keeps_every_output(monkeypatch, echelon_calls):
     # with the prime 7 many eliminations meet a residue 0 or a rank that
     # drops mod p, and the exact path must then give the same answer; the
-    # forward calls take a full-rank answer from the same modular analysis
+    # forward calls take a full-rank answer from the same modular analysis,
+    # and the graph-facing calls too must give what the walk-facing ones
+    # gave with the real prime
     import sys
     inputs = _fallback_inputs()
     expected = [reconstruct(ReconstructionInput(w, hint))
-                for w, hint in inputs]
+                for w, hint, _ in inputs]
     assert {res.status for res in expected} == \
         {"unique", "pair", "undetermined"}
-    forward = [_forward_outputs(w) for w, _ in inputs]
+    forward = [_forward_outputs(w) for w, _, _ in inputs]
     # spectral is the one module that reads the prime
     monkeypatch.setattr(sys.modules["walkmat.spectral"], "PRIME", 7)
-    fell_back = forward_fell_back = 0
-    for (w, hint), want, want_forward in zip(inputs, expected, forward):
+    fell_back = forward_fell_back = graph_fell_back = 0
+    for (w, hint, g), want, want_forward in zip(inputs, expected, forward):
         echelon_calls.clear()
         assert reconstruct(ReconstructionInput(w, hint)) == want
         fell_back += want.status == "unique" and 0 in echelon_calls
         echelon_calls.clear()
-        summary, a_w, p_k, mu = _forward_outputs(w)
-        assert [summary, a_w, p_k] == want_forward[:3]
-        if isinstance(mu, tuple):
-            assert len(mu) == len(want_forward[3])
-            assert np.allclose(mu, want_forward[3], rtol=0, atol=1e-12)
-        else:
-            assert mu == want_forward[3]
+        got = _forward_outputs(w)
+        _assert_same_forward(got, want_forward, False)
         # a unique answer means that W is a walk matrix
-        forward_fell_back += (want.status == "unique" and summary.full_rank
+        forward_fell_back += (want.status == "unique" and got[0].full_rank
                               and 0 in echelon_calls)
+        if g is not None and hint is None:
+            echelon_calls.clear()
+            _assert_same_forward(_forward_outputs(w, g), want_forward, False)
+            graph_fell_back += got[0].full_rank and 0 in echelon_calls
     assert fell_back >= 10 and forward_fell_back >= 10
+    assert graph_fell_back >= 4
+
+
+def _graph_at_rank(make, n, offset):
+    """The first seeded graph from make whose W^V has rank n - offset mod
+    the prime (so over Q too when twins cap the rank there)."""
+    for seed in range(50):
+        g = make(seed)
+        if g is not None and _rank_mod_prime(
+                walk_matrix(g, VertexSet.full(n))) == n - offset:
+            return g
+    raise AssertionError(f"no rank n-{offset} instance found")
+
+
+def test_graph_facing_calls_equal_their_walk_facing_twins(paw, paw_sets,
+                                                          mates8):
+    # the summary, A_W, P_K and mu from the given graph are those from W
+    # alone; mu bit for bit at rank n, where both routes hand eigh the same
+    # 0/1 rows, and within 1e-12 below it.  The exact path that every call
+    # takes below rank n costs seconds at n = 64, so twins stop at n = 32
+    cases = [(paw, s) for s in paw_sets.values()]
+    cases += [(g, VertexSet.full(8)) for g in mates8]
+    for n in (32, 48, 64):
+        g = _graph_at_rank(lambda seed: random_graph(n, SplitMix64(seed)),
+                           n, 0)
+        cases.append((g, VertexSet.full(n)))
+    cases += [(_graph_at_rank(lambda seed: _with_false_twin(seed, 31), 32, 1),
+               VertexSet.full(32)),
+              (_graph_at_rank(lambda seed: _with_twin_pair(seed, 30), 32, 2),
+               VertexSet.full(32))]
+    for seed in range(12):
+        rng = SplitMix64(900 + seed)
+        n = 4 + rng.below(13)
+        cases.append((random_graph(n, rng), random_nonempty_set(n, rng)))
+    ranks = set()
+    for g, s in cases:
+        w = walk_matrix(g, s)
+        want = _forward_outputs(w)
+        full = want[0].full_rank
+        ranks.add((full, s.is_full()))
+        _assert_same_forward(_forward_outputs(w, g), want, full)
+    assert ranks == {(True, True), (True, False), (False, True),
+                     (False, False)}
 
 
 def test_unique_answer_runs_no_exact_elimination(echelon_calls):
@@ -420,8 +490,8 @@ def test_unique_answer_runs_no_exact_elimination(echelon_calls):
     assert res.status == "undetermined" and n_exact > 0
 
 
-def test_one_analysis_per_walk_matrix(echelon_calls, paw, paw_sets,
-                                      mates8):
+def test_one_analysis_per_walk_matrix(monkeypatch, echelon_calls, paw,
+                                      paw_sets, mates8):
     # each call eliminates [W | I] once, and at rank n that is all: the
     # characteristic polynomial comes from the pivot rows T and A_W is a
     # product.  Below rank n the restriction, the realization and the
@@ -434,8 +504,16 @@ def test_one_analysis_per_walk_matrix(echelon_calls, paw, paw_sets,
     # and the projector is zero after it; below rank n (n1 and n2, which
     # have equal rows of W) the forward calls add the record's exact one.
     # The isomorphism gate takes the rank mod p of W alone, and the exact
-    # rank only below n-1
-    from walkmat import certify_isomorphism, parse_graph6
+    # rank only below n-1.  The graph-facing calls read the given graph at
+    # rank n mod p: no exact elimination, no rebuilt A_W (`_restriction`)
+    # and no re-verification (`verify_candidate`); the summary's one
+    # modular elimination is of [W | I] (2n columns), for the Dixon lift's
+    # T, and the restriction, the realization and the projector take only
+    # the rank, from W alone (n columns).  Below rank n they count as the
+    # walk-facing calls do
+    from walkmat import (certify_isomorphism, kernel_projector,
+                         main_eigen_realize, parse_graph6, restriction,
+                         spectral_summary)
     from walkmat.spectral import (kernel_projector_from_walk,
                                   realize_from_walk, restriction_from_walk)
     full = walk_matrix(paw, paw_sets[3])
@@ -466,6 +544,34 @@ def test_one_analysis_per_walk_matrix(echelon_calls, paw, paw_sets,
                            (mates7, VertexSet.full(7), (1, 1))):
         assert count(lambda _: certify_isomorphism(g, s, g, s), None) == \
             expected
+
+    import walkmat.spectral as spectral
+    widths, rebuilt = [], []
+    echelon = spectral._echelon
+
+    def measured(rows, width=None, modulus=0):
+        widths.append(len(rows[0]))
+        return echelon(rows, width, modulus)
+
+    monkeypatch.setattr(spectral, "_echelon", measured)
+    for name in ("_restriction", "verify_candidate"):
+        def spied(*args, name=name, fn=getattr(spectral, name), **kwargs):
+            rebuilt.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(spectral, name, spied)
+    for g, s, offset in ((paw, paw_sets[3], 0), (paw, paw_sets["V"], 1),
+                         (mates8[0], VertexSet.full(8), 2)):
+        for fn, width in ((spectral_summary, 2 * g.n), (restriction, g.n),
+                          (main_eigen_realize, g.n),
+                          (kernel_projector, g.n)):
+            widths.clear()
+            rebuilt.clear()
+            counts = count(lambda _: fn(g, s), None)
+            if offset == 0:
+                assert (counts, widths, rebuilt) == ((0, 1), [width], [])
+            else:
+                assert counts == \
+                    ((1, 1) if fn is spectral_summary else (2, 1))
 
 
 def test_rank_n2_twin_stress_up_to_n16():
