@@ -35,7 +35,9 @@ class MalformedHeader(WalkmatError):
 
 class TruncatedBody(WalkmatError):
     """An input body is short or holds a token that is not an integer, or
-    an adjacency entry that is not 0 or 1."""
+    its matrix is no adjacency or walk matrix: not square, an adjacency
+    entry not 0/1, a non-zero diagonal or an asymmetric adjacency, a walk
+    column 0 not 0/1 or a negative walk entry."""
 
 
 class TrailingGarbage(WalkmatError):

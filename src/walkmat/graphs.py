@@ -300,16 +300,16 @@ def parse_adjacency_text(text: str) -> Graph:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        row = tuple(_ints(ln, TruncatedBody, "adjacency row"))
-        if not set(row) <= {0, 1}:
-            raise TruncatedBody(f"adjacency row {ln!r} is not 0/1")
-        rows.append(row)
+        rows.append(tuple(_ints(ln, TruncatedBody, "adjacency row")))
     if not rows:
         raise MalformedHeader("empty adjacency matrix")
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise TruncatedBody("adjacency matrix is not square")
-    return Graph(n, tuple(rows))
+    try:
+        return Graph(n, tuple(rows))
+    except ValueError as exc:
+        raise TruncatedBody(f"bad adjacency matrix: {exc}") from None
 
 
 def emit_adjacency_text(g: Graph) -> str:

@@ -22,13 +22,14 @@ exactly before it is returned.  r < n-2 is undetermined (the theory
 provides counterexamples); so is a W that no graph has (not_a_walk_matrix)
 and one whose candidates all fail.
 
-`reconstruct` first runs the same formulas modulo a prime p on the modular
-analysis of W's record (`spectral._Certified`): one elimination of [W | I]
-over GF(p), and every division by an inverse mod p.  A candidate's
-residues lift to a 0/1 matrix when they are all 0 or 1, and the candidate
-is kept only if that matrix passes the exact `verify_candidate` and, at
-rank_p = n-2, has m edges; at rank_p = n that is the record's graph, which
-the forward calls share.  Exactly one kept graph is the whole answer:
+`reconstruct` runs one routine, `_answer`, on the analyses of W's record
+(`spectral._Certified`): first on the modular one, then, unless that answer
+is unique, on the exact one.  On the modular analysis (one elimination of
+[W | I] over GF(p)) the same formulas run with every division by an inverse
+mod p.  A candidate's residues lift to a 0/1 matrix when they are all 0 or
+1, and the candidate is kept only if that matrix passes the exact
+`verify_candidate` and, at rank_p = n-2, has m edges.  Exactly one kept
+graph is the whole answer:
 
 * rank_Q >= rank_p, since a minor that is non-zero mod p is non-zero.
 * If rank_Q > rank_p >= n-2, then rank_Q >= n-1, where W determines A: the
@@ -40,10 +41,10 @@ the forward calls share.  Exactly one kept graph is the whole answer:
   one of the enumerated candidates, and lifting recovers it exactly.  A
   second graph would have been found too.
 
-Every other outcome runs the exact path unchanged: no or two verified
-graphs (the exact path fixes a pair's order), rank_p < n-2, pivots other
-than 0..r-1 mod p, a divisor that is 0 mod p (t.t at rank n, K^T K, or
-2 qa on a line), more than a line of S, and rank_p = n-2 with no edge
+Every other outcome runs `_answer` on the exact analysis: no or two
+verified graphs (the exact path fixes a pair's order), rank_p < n-2, pivots
+other than 0..r-1 mod p, a divisor that is 0 mod p (t.t at rank n, K^T K,
+or 2 qa on a line), more than a line of S, and rank_p = n-2 with no edge
 count.  So every undetermined reason and every error is the exact path's.
 """
 
@@ -186,15 +187,14 @@ def _reconstruct(analysis: _Analysis,
     0 raises ZeroDivisionError.
     """
     w, p = analysis.w, analysis.modulus
-    summary = _summary(analysis)
     if m is not None and not p:
         # the two non-main eigenvalues are real only if d >= 0
-        a2, a1 = ((0, 0) + summary.main_poly.coeffs)[-3:-1]
+        a2, a1 = ((0, 0) + _summary(analysis).main_poly.coeffs)[-3:-1]
         d = 4 * (a2 + m) - 3 * a1 * a1
         if d < 0:
             raise NegativeDiscriminant(
                 f"discriminant {d} < 0; not a genuine walk matrix")
-    num, den = _restriction(analysis, summary)
+    num, den = _restriction(analysis)
     if analysis.kernel:
         candidates = _kernel_parts(analysis.kernel, num, den, m, p)
     else:
@@ -212,23 +212,6 @@ def _reconstruct(analysis: _Analysis,
     if len(graphs) == 1:
         return ReconstructionResult.unique(graphs[0])
     return ReconstructionResult.pair(*graphs)
-
-
-def _modular_graph(record: _Certified, hint: int | None) -> Graph | None:
-    """The one graph the pipeline mod the prime finds and verifies, or None,
-    which leaves the call to the exact path (module docstring)."""
-    w, analysis = record.w, record.modular
-    if analysis.r == w.n:
-        a = record.graph
-        return None if a is None else Graph(w.n, a)
-    if analysis.r < w.n - 2:
-        return None
-    try:
-        m = _edge_count(w, hint) if analysis.r == w.n - 2 else None
-        res = _reconstruct(analysis, m)
-    except (WalkmatError, ZeroDivisionError):
-        return None
-    return res.graphs[0] if res.status == "unique" else None
 
 
 def _edge_count(w: WalkMatrix, m: int | None) -> int:
@@ -251,27 +234,36 @@ def derive_edge_count(w: WalkMatrix) -> int | None:
     return total // 2
 
 
-def reconstruct(inp: ReconstructionInput) -> ReconstructionResult:
-    """The one graph found mod the prime, or else the exact path's answer
-    (module docstring); every returned graph regenerates W exactly."""
-    w = inp.w
-    record = _Certified(w)
-    g = _modular_graph(record, inp.edge_count_hint)
-    if g is not None:
-        return ReconstructionResult.unique(g)
-    analysis = record.exact
-    r = analysis.r
+def _answer(analysis: _Analysis, hint: int | None) -> ReconstructionResult:
+    """The answer from one analysis of W; every WalkmatError is an
+    undetermined reason, and on an analysis mod the prime a division by a
+    residue 0 raises ZeroDivisionError."""
+    w, r = analysis.w, analysis.r
     if r < w.n - 2:
         return ReconstructionResult.undetermined(RANK_TOO_LOW)
     try:
-        m = _edge_count(w, inp.edge_count_hint) if r == w.n - 2 else None
-        return _reconstruct(analysis, m)
+        return _reconstruct(analysis,
+                            _edge_count(w, hint) if r == w.n - 2 else None)
     except MissingEdgeCount:
         return ReconstructionResult.undetermined(MISSING_EDGE_COUNT)
     except NotAWalkMatrix:
         return ReconstructionResult.undetermined(NOT_A_WALK_MATRIX)
     except WalkmatError:
         return ReconstructionResult.undetermined(NO_VALID_CANDIDATE)
+
+
+def reconstruct(inp: ReconstructionInput) -> ReconstructionResult:
+    """The unique answer on the modular analysis of W, else the answer on
+    the exact one (module docstring); every returned graph regenerates W
+    exactly."""
+    record = _Certified(inp.w)
+    try:
+        res = _answer(record.modular, inp.edge_count_hint)
+        if res.status == "unique":
+            return res
+    except ZeroDivisionError:
+        pass  # a residue 0 where the exact path divides: no answer mod p
+    return _answer(record.exact, inp.edge_count_hint)
 
 
 def result_to_json(result: ReconstructionResult) -> str:

@@ -36,10 +36,10 @@ and A_W - n P_K = A is what the realization diagonalises.  Rank n mod p
 alone also proves ker W^T = 0, so the kernel projector is then zero with no
 exact elimination.  Where that graph comes from depends on the caller:
 
-* From W alone (`*_from_walk`, `reconstruct`): the elimination is of
-  [W | I], and at rank n mod p the same formulas give A = A_W mod p;
-  residues that are all 0 or 1 are read as that 0/1 matrix, kept only if
-  it regenerates W exactly (`verify_candidate`).
+* From W alone (`*_from_walk`, `reconstruct`'s candidates): the
+  elimination is of [W | I], and at rank n mod p the same formulas give
+  A = A_W mod p; residues that are all 0 or 1 are read as that 0/1
+  matrix, kept only if it regenerates W exactly (`verify_candidate`).
 * From the graph g that built W (`spectral_summary`, `restriction`,
   `main_eigen_realize`, `kernel_projector`): at rank n mod p the graph is
   g's own rows, with nothing rebuilt or re-verified, since g regenerates
@@ -220,8 +220,7 @@ def _gram_solve(kt, n: int, modulus: int = 0
     return [tuple(row[k + u] for row in rows) for u in range(n)], dg
 
 
-def _restriction(a: _Analysis, summary: SpectralSummary | None = None,
-                 shift: int = 0) -> tuple[list[list[int]], int]:
+def _restriction(a: _Analysis, shift: int = 0) -> tuple[list[list[int]], int]:
     """A_W - shift P_K as integer rows over one common denominator:
     A_W = W_[1,r] W^+ (W^+ the pseudo-inverse of W_[0,r-1]), and
     P_K = K G^-1 K^T (G = K^T K) projects onto ker W^T.
@@ -231,16 +230,16 @@ def _restriction(a: _Analysis, summary: SpectralSummary | None = None,
     A_W - shift P_K = (dg B - (B K + shift d K) X) / (d dg) with
     X = dg G^-1 K^T from `_gram_solve`: the rows returned are that
     numerator, the denominator d dg.  At r = n, K is empty, A^n e comes
-    from the characteristic recurrence and A_W = A.  The summary
-    (NotAWalkMatrix unless the pivots are 0..r-1) is the analysis's, when
-    the caller already has it.  Modulo a prime, B is formed on packed rows
-    of T (`exact._pack`): row v of B is sum_k W_[1,r][v][k] T_k, one bigint
+    from the characteristic recurrence and A_W = A.  The summary of the
+    analysis, made here, raises NotAWalkMatrix when W is visibly no walk
+    matrix.  Modulo a prime, B is formed on packed rows of T
+    (`exact._pack`): row v of B is sum_k W_[1,r][v][k] T_k, one bigint
     multiply-add per k, with every factor reduced into [0, p) first, since
     a negative one (the column A^n e at r = n is one before its reduction)
     would borrow across slots.  The numerator is a residue only after its
     division.
     """
-    summary = summary or _summary(a)
+    summary = _summary(a)
     w, r, d, kt, p = a.w, a.r, a.d, a.kernel, a.modulus
     n = w.n
     rows = [w.w.row(v) for v in range(n)]
@@ -316,9 +315,9 @@ class _Certified:
     @cached_property
     def graph(self) -> tuple[tuple[int, ...], ...] | None:
         """The rows of the one graph with this W, at rank n mod PRIME: g's
-        own, else A_W mod PRIME; None below that rank, or (without g) when a
-        residue 0 is met, a check fails or the residues are no graph with
-        this W."""
+        own, else A_W mod PRIME (for the walk-facing forward calls only);
+        None below that rank, or (without g) when a residue 0 is met, a
+        check fails or the residues are no graph with this W."""
         if not self.full_rank_mod_p:
             return None
         if self._g is not None:

@@ -167,10 +167,10 @@ def from_json(text: str) -> WalkMatrix:
             or any(type(x) not in (int, str) for x in c) for c in cols):
         raise TruncatedBody("walk-matrix JSON columns are not n x n integers")
     try:
-        m = ExactMatrix.from_columns([[int(x) for x in c] for c in cols])
+        w = WalkMatrix.from_matrix(
+            ExactMatrix.from_columns([[int(x) for x in c] for c in cols]))
     except ValueError as exc:
         raise TruncatedBody(f"bad walk-matrix JSON entry: {exc}") from exc
-    w = WalkMatrix.from_matrix(m)
     if list(w.vertex_set.members) != members:
         raise MalformedHeader("declared set does not match column 0")
     return w
@@ -200,10 +200,10 @@ def from_text(text: str) -> WalkMatrix:
         rows.append(_ints(ln, TruncatedBody, "walk-matrix row"))
     if not rows:
         raise MalformedHeader("empty walk-matrix text")
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise TruncatedBody("walk-matrix text is not square")
-    w = WalkMatrix.from_matrix(ExactMatrix(rows))
+    try:
+        w = WalkMatrix.from_matrix(ExactMatrix(rows))
+    except ValueError as exc:
+        raise TruncatedBody(f"bad walk-matrix text: {exc}") from exc
     if declared is not None and list(w.vertex_set.members) != sorted(declared):
         raise MalformedHeader("declared set does not match column 0")
     return w

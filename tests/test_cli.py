@@ -14,7 +14,7 @@ import refdata
 from walkmat.cli import _parse_set, main
 from walkmat.errors import MalformedHeader, TruncatedBody
 from walkmat.graphs import parse_adjacency_text, parse_edge_list_text
-from walkmat.walk import from_text
+from walkmat.walk import from_json, from_text
 
 
 def run(argv):
@@ -278,20 +278,33 @@ def test_non_integer_token_is_a_typed_data_error(tmp_path, command, name,
     assert run([command, str(p), *extra]) == (3, "")
 
 
-@pytest.mark.parametrize("name, text, parse, error", [
-    ("g.el", "-1 0\n", parse_edge_list_text, MalformedHeader),
-    ("g.am", "0 2\n2 0\n", parse_adjacency_text, TruncatedBody),
-], ids=["negative-order", "adjacency-entry"])
-def test_out_of_range_value_is_a_typed_data_error(tmp_path, name, text,
-                                                  parse, error):
-    # a negative order and an adjacency entry other than 0 or 1 are refused
-    # by the parser itself, not by the Graph constructor, and the CLI exits
-    # 3 with nothing on stdout
+@pytest.mark.parametrize("command, name, text, parse, error", [
+    ("walk", "g.el", "-1 0\n", parse_edge_list_text, MalformedHeader),
+    ("walk", "g.am", "0 2\n2 0\n", parse_adjacency_text, TruncatedBody),
+    ("walk", "g.am", "0 1\n1 1\n", parse_adjacency_text, TruncatedBody),
+    ("walk", "g.am", "0 1\n0 0\n", parse_adjacency_text, TruncatedBody),
+    ("reconstruct", "w.txt", "# set: 1\n2 0\n0 0\n", from_text,
+     TruncatedBody),
+    ("reconstruct", "w.txt", "1 -1\n1 0\n", from_text, TruncatedBody),
+    ("reconstruct", "w.json",
+     '{"n": 2, "set": [1], "columns": [["2", "0"], ["0", "0"]]}', from_json,
+     TruncatedBody),
+    ("reconstruct", "w.json",
+     '{"n": 2, "set": [1, 2], "columns": [["1", "1"], ["-1", "0"]]}',
+     from_json, TruncatedBody),
+], ids=["negative-order", "adjacency-entry", "adjacency-diagonal",
+        "adjacency-asymmetric", "walk-text-column0", "walk-text-negative",
+        "walk-json-column0", "walk-json-negative"])
+def test_out_of_range_value_is_a_typed_data_error(tmp_path, command, name,
+                                                  text, parse, error):
+    # a value out of range for the matrix the file holds is refused by the
+    # parser itself with a typed error, not by the Graph or WalkMatrix
+    # constructor's ValueError, and the CLI exits 3 with nothing on stdout
     with pytest.raises(error):
         parse(text)
     p = tmp_path / name
     p.write_text(text)
-    assert run(["walk", str(p)]) == (3, "")
+    assert run([command, str(p)]) == (3, "")
 
 
 def test_stdin_input(monkeypatch):
