@@ -9,14 +9,15 @@ integer data stay Python ints, eliminations are fraction-free over integers
 and rationals appear only in answers that are not integers; floating point
 appears only in the numeric realization, a clearly marked derived view.
 
-The oracles live in `walkmat.oracle`, which `import walkmat` does not load.
+The brute-force harnesses behind the `stats` and `roundtrip` commands live
+in `walkmat.oracle`, which `import walkmat` does not load.
 `walkmat.reconstruct` names the function, not the module of that name.
 """
 
 from .canonical import (IsoCertificate, LexForm, certify_isomorphism,
                         certify_set_automorphism, lex_form,
                         restriction_equivalence_check, walk_equivalent)
-from .exact import ExactMatrix, IntPolynomial, QQ, kernel_basis, rank
+from .exact import ExactMatrix, IntPolynomial, kernel_basis, rank
 from .graphs import (Graph, VertexSet, degree_sequence, edge_count,
                      emit_graph6, from_edge_list, parse_adjacency_text,
                      parse_edge_list_text, parse_graph6)

@@ -254,6 +254,16 @@ def _cmd_roundtrip(args, out) -> int:
     return EXIT_OK if not report.failures else EXIT_NEGATIVE
 
 
+def _int_from(low: int):
+    """An argparse type: an integer >= low, else a usage error."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    parse.__name__ = "int"  # argparse's messages name the type
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="walkmat",
@@ -321,20 +331,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_equiv)
 
     sp = sub.add_parser("stats", help="rank statistics over G(n,1/2)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--n", type=_int_from(1), required=True)
+    sp.add_argument("--trials", type=_int_from(1), required=True)
     sp.add_argument("--seed", type=int, default=None,
                     help="default from WALKMAT_SEED or built-in")
     sp.add_argument("--random-sets", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_int_from(1), default=1)
     sp.set_defaults(func=_cmd_stats)
 
     sp = sub.add_parser("roundtrip",
                         help="exhaustive reconstruction round trip, n <= 7")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=0)
+    sp.add_argument("--n", type=_int_from(1), required=True)
+    sp.add_argument("--samples", type=_int_from(0), default=0)
     sp.add_argument("--seed", type=int, default=2024)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_int_from(1), default=1)
     sp.set_defaults(func=_cmd_roundtrip)
 
     return p

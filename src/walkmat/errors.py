@@ -11,10 +11,6 @@ class NonUnique(WalkmatError):
     """Linear system is underdetermined."""
 
 
-class NonInteger(WalkmatError):
-    """Integer entries were required but rational ones were found."""
-
-
 # --- graph construction and parsing ---
 
 class LoopEdge(WalkmatError):
@@ -87,7 +83,8 @@ class TheoremViolation(WalkmatError):
     """A theorem-backed equivalence failed; indicates an implementation bug."""
 
 
-# --- oracle ---
+# --- size caps ---
 
 class TooLarge(WalkmatError):
-    """Input exceeds the size cap of a brute-force oracle."""
+    """Input exceeds a documented size cap: an edge-list order or the
+    order a brute-force oracle accepts."""

@@ -2,19 +2,18 @@
 
 Matrices hold arbitrary-precision rationals, and rank and kernel are exact.
 This module alone decides how an entry is stored: an integer is a Python
-``int`` and any other rational a ``fractions.Fraction`` (aliased ``QQ``), so
-integer data such as walk and adjacency matrices stay ints from input to
-answer.  All elimination runs through one fraction-free Gauss-Jordan loop
-over Python integers (`_echelon`, Bareiss's integer-preserving step): each
-row is first scaled to integers, and only the final answers become
-``x / d`` of the last pivot d, a Fraction only where d does not divide x.
-Pivots are the first non-zero entry in input row order, which makes every
-result deterministic.  The same elimination runs modulo a prime (`PRIME`)
-for callers that only need candidates they verify exactly afterwards.
-There each row is packed into one Python int, a slot per column, wide
-enough that no slot overflows before the end (`_slot_bits`): a row update
-is one bigint multiply-add, and only the pivot row is unpacked at each
-pivot.
+``int`` and any other rational a ``fractions.Fraction``, so integer data
+such as walk and adjacency matrices stay ints from input to answer.  All
+elimination runs through one fraction-free Gauss-Jordan loop over Python
+integers (`_echelon`, Bareiss's integer-preserving step): each row is first
+scaled to integers, and only the final answers become ``x / d`` of the last
+pivot d, a Fraction only where d does not divide x.  Pivots are the first
+non-zero entry in input row order, which makes every result deterministic.
+The same elimination runs modulo a prime (`PRIME`) for callers that only
+need candidates they verify exactly afterwards.  There each row is packed
+into one Python int, a slot per column, wide enough that no slot overflows
+before the end (`_slot_bits`): a row update is one bigint multiply-add, and
+only the pivot row is unpacked at each pivot.
 
 Matrices are immutable values: all operations return fresh matrices, so
 instances are safe to share between threads.
@@ -26,8 +25,6 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
-
-QQ = Fraction
 
 # the prime of the modular eliminations: below 2^30 every residue is a
 # one-digit CPython int, and p = 3 mod 4 makes a square root mod p one pow
@@ -155,10 +152,6 @@ class ExactMatrix:
             return ExactMatrix(out)
         s = _entry(other)
         return ExactMatrix([[x * s for x in r] for r in self._entries])
-
-    def __rmul__(self, other):
-        s = _entry(other)
-        return ExactMatrix([[s * x for x in r] for r in self._entries])
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix([[self._entries[i][j] for i in range(self.rows)]
@@ -367,21 +360,6 @@ class IntPolynomial:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __call__(self, x):
-        acc = 0 * x if self.coeffs else 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -16,9 +16,13 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (DuplicateEdge, IndexOutOfRange, LoopEdge,
-                     MalformedHeader, TrailingGarbage, TruncatedBody,
-                     WalkmatError)
+                     MalformedHeader, TooLarge, TrailingGarbage,
+                     TruncatedBody, WalkmatError)
 from .exact import ExactMatrix
+
+# the largest order an edge-list header may declare, as it asks for n^2
+# cells; at n = 1024 a walk matrix holds 10^6 entries of ~10^4 bits each
+EDGE_LIST_MAX_ORDER = 1024
 
 
 def _ints(text: str, error: type[WalkmatError], what: str) -> list[int]:
@@ -83,25 +87,6 @@ class Graph:
             for j in self.neighbors[i]:
                 adj[pi][perm[j]] = 1
         return Graph(n, tuple(tuple(r) for r in adj))
-
-    def complement(self) -> "Graph":
-        n = self.n
-        adj = tuple(tuple(0 if i == j else 1 - self.adj[i][j]
-                          for j in range(n)) for i in range(n))
-        return Graph(n, adj)
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
 
 
 @dataclass(frozen=True)
@@ -276,6 +261,8 @@ def parse_edge_list_text(text: str) -> Graph:
     n, m = head
     if n < 0:
         raise MalformedHeader(f"negative order in header {lines[0]!r}")
+    if n > EDGE_LIST_MAX_ORDER:
+        raise TooLarge(f"order {n} above the cap {EDGE_LIST_MAX_ORDER}")
     if len(lines) - 1 != m:
         raise TruncatedBody(f"header says {m} edges, found {len(lines) - 1}")
     edges = []

@@ -1,10 +1,8 @@
-"""Independent brute-force verifiers and statistical harnesses.
+"""Brute-force verifiers and statistical harnesses behind the `stats` and
+`roundtrip` commands.
 
-Everything here cross-checks the algebraic modules by a different route:
-the characteristic polynomial by Faddeev-LeVerrier, walk counting by integer
-matrix powers (no neighbour lists), isomorphism by backtracking search, rank
-by counting non-perpendicular eigenspace projections, and reconstruction by
-exhaustive enumeration of small graphs.
+Isomorphism by backtracking search, rank statistics over seeded G(n, 1/2)
+samples, and reconstruction by exhaustive enumeration of small graphs.
 
 The random generator is splitmix64, fixed forever so that sampled statistics
 are bit-stable across runs and platforms.  Each trial draws its own stream
@@ -16,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 from .canonical import lex_form
-from .errors import EmptySet, NonInteger, TooLarge
-from .exact import ExactMatrix, IntPolynomial, rank
+from .errors import TooLarge
+from .exact import rank
 from .graphs import Graph, VertexSet, degree_sequence, emit_graph6
 from .reconstruct import ReconstructionInput, reconstruct
 from .walk import walk_matrix
@@ -80,65 +79,6 @@ def random_nonempty_set(n: int, rng: SplitMix64) -> VertexSet:
             return VertexSet(n, members)
 
 
-# --- exact cross-check: characteristic polynomial ---
-
-def char_poly(a: ExactMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial of an integer matrix, exactly.
-
-    Faddeev-LeVerrier recurrence in pure integer arithmetic; the division of
-    the k-th trace by k is exact for integer matrices and is checked.
-    """
-    if not a.is_square():
-        raise ValueError("matrix must be square")
-    if not a.is_integer():
-        raise NonInteger("char_poly needs integer entries")
-    n, grid = a.rows, a._entries
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    coeffs = [1]  # leading coefficient, descending order
-    for k in range(1, n + 1):
-        am = [[sum(grid[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        tr = sum(am[i][i] for i in range(n))
-        # exact for integer matrices: the k-th trace is divisible by k
-        ck, rem = divmod(-tr, k)
-        if rem:
-            raise NonInteger("characteristic polynomial not integral")
-        coeffs.append(ck)
-        m = [[am[i][j] + (ck if i == j else 0) for j in range(n)]
-             for i in range(n)]
-    return IntPolynomial(list(reversed(coeffs)))
-
-
-# --- walk counting oracle ---
-
-@dataclass(frozen=True)
-class WalkCountTable:
-    """counts[v][k] = number of k-walks from vertex v ending in S."""
-
-    counts: tuple[tuple[int, ...], ...]
-    max_k: int
-
-
-def count_walks(g: Graph, s: VertexSet, max_k: int) -> WalkCountTable:
-    """Row sums over S of the integer matrix powers A^0 .. A^max_k; reads
-    the 0/1 grid g.adj, so it shares no code with the neighbour-list
-    recurrence of walk_matrix."""
-    if s.is_empty():
-        raise EmptySet("count_walks needs a non-empty vertex set")
-    n, a = g.n, g.adj
-    cols = [u - 1 for u in s.members]
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    table = []
-    for k in range(max_k + 1):
-        if k:
-            power = [[sum(row[t] * a[t][j] for t in range(n))
-                      for j in range(n)] for row in power]
-        table.append([sum(row[u] for u in cols) for row in power])
-    per_vertex = tuple(tuple(table[k][v] for k in range(max_k + 1))
-                       for v in range(n))
-    return WalkCountTable(per_vertex, max_k)
-
-
 # --- brute-force isomorphism ---
 
 BRUTE_FORCE_CAP = 10
@@ -192,29 +132,16 @@ def brute_force_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     return None
 
 
-# --- float eigenspace cross-check ---
+def _map(fn, items: list, jobs: int, chunksize: int) -> list:
+    """[fn(x) for x in items], on a pool of min(jobs, os.cpu_count())
+    worker processes when that is more than one."""
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
 
-EIGENCHECK_TOL = 1e-7
-_EIG_GROUP_EPS = 1e-6
-
-
-def float_eigencheck(g: Graph, s: VertexSet, tol: float = EIGENCHECK_TOL) -> bool:
-    """Count eigenspaces not perpendicular to e, numerically; compare with
-    the exact rank of W^S.  An entirely independent route to the same number.
-    """
-    import numpy as np
-
-    vals, vecs = np.linalg.eigh(np.array(g.adj, dtype=float))
-    e = np.array(s.characteristic, dtype=float)
-    proj = vecs.T @ e
-    count = 0
-    start = 0
-    for k in range(1, g.n + 1):
-        if k == g.n or vals[k] - vals[start] > _EIG_GROUP_EPS:
-            if np.linalg.norm(proj[start:k]) > tol:
-                count += 1
-            start = k
-    return count == rank(walk_matrix(g, s).w)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 # --- rank statistics ---
@@ -257,13 +184,7 @@ def rank_statistics(n: int, trials: int, seed: int,
         raise ValueError("need at least one trial")
     master = SplitMix64(seed)
     work = [(n, master.next_word(), random_sets) for _ in range(trials)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            ranks = list(pool.map(_rank_trial, work, chunksize=64))
-    else:
-        ranks = [_rank_trial(w) for w in work]
+    ranks = _map(_rank_trial, work, jobs, 64)
     hist: dict[int, int] = {}
     for r in ranks:
         hist[r] = hist.get(r, 0) + 1
@@ -390,13 +311,7 @@ def exhaustive_roundtrip(n: int, extra_samples: int = 0,
     if extra_samples:
         rng = SplitMix64(seed)
         graphs = graphs + [random_graph(n, rng) for _ in range(extra_samples)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_roundtrip_one, graphs, chunksize=16))
-    else:
-        records = [_roundtrip_one(g) for g in graphs]
+    records = _map(_roundtrip_one, graphs, jobs, 16)
     hist: dict[int, int] = {}
     for rec in records:
         hist[rec.rank] = hist.get(rec.rank, 0) + 1

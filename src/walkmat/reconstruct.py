@@ -27,9 +27,9 @@ and one whose candidates all fail.
 is unique, on the exact one.  On the modular analysis (one elimination of
 [W | I] over GF(p)) the same formulas run with every division by an inverse
 mod p.  A candidate's residues lift to a 0/1 matrix when they are all 0 or
-1, and the candidate is kept only if that matrix passes the exact
-`verify_candidate` and, at rank_p = n-2, has m edges.  Exactly one kept
-graph is the whole answer:
+1, and the candidate is kept only if that matrix regenerates W exactly
+(`spectral._graph_rows`) and, at rank_p = n-2, has m edges.  Exactly one
+kept graph is the whole answer:
 
 * rank_Q >= rank_p, since a minor that is non-zero mod p is non-zero.
 * If rank_Q > rank_p >= n-2, then rank_Q >= n-1, where W determines A: the
@@ -56,10 +56,11 @@ from dataclasses import dataclass
 
 from .errors import (MissingEdgeCount, NegativeDiscriminant, NonUnique,
                      NotAWalkMatrix, WalkmatError)
-from .exact import ExactMatrix, _divide_rows, _dot, _kernel
+from .exact import _dot, _kernel
 from .graphs import Graph, edge_count, emit_graph6
-from .spectral import _Analysis, _Certified, _restriction, _summary
-# bench/tracing.py wraps walkmat.reconstruct.verify_candidate
+from .spectral import (_Analysis, _Certified, _graph_rows, _restriction,
+                       _summary)
+# walkmat.verify_candidate and bench/tracing.py read this binding
 from .walk import WalkMatrix, verify_candidate
 
 RANK_TOO_LOW = "rank_too_low"
@@ -201,9 +202,9 @@ def _reconstruct(analysis: _Analysis,
         candidates = [(num, den)]
     graphs = []
     for rows, f in candidates:
-        a = ExactMatrix(_divide_rows(rows, f, p))
-        if verify_candidate(a, w):
-            g = Graph(w.n, tuple(a.row(i) for i in range(w.n)))
+        adj = _graph_rows(w, rows, f, p)
+        if adj is not None:
+            g = Graph(w.n, adj)
             # the edge count is part of the input at rank n-2
             if m is None or edge_count(g) == m:
                 graphs.append(g)

@@ -39,7 +39,7 @@ exact elimination.  Where that graph comes from depends on the caller:
 * From W alone (`*_from_walk`, `reconstruct`'s candidates): the
   elimination is of [W | I], and at rank n mod p the same formulas give
   A = A_W mod p; residues that are all 0 or 1 are read as that 0/1
-  matrix, kept only if it regenerates W exactly (`verify_candidate`).
+  matrix, kept only if it regenerates W exactly (`_graph_rows`).
 * From the graph g that built W (`spectral_summary`, `restriction`,
   `main_eigen_realize`, `kernel_projector`): at rank n mod p the graph is
   g's own rows, with nothing rebuilt or re-verified, since g regenerates
@@ -324,12 +324,9 @@ class _Certified:
             return self._g.adj
         a = self.modular
         try:
-            adj = ExactMatrix(_divide_rows(*_restriction(a), a.modulus))
+            return _graph_rows(self.w, *_restriction(a), a.modulus)
         except (NotAWalkMatrix, ZeroDivisionError):
             return None
-        if not verify_candidate(adj, self.w):
-            return None
-        return tuple(map(adj.row, range(self.w.n)))
 
     @cached_property
     def exact(self) -> _Analysis:
@@ -371,6 +368,15 @@ class _Certified:
             return _realize(w, w.n, self.graph, 1)
         a = self.exact
         return _realize(w, a.r, *_restriction(a, shift=w.n))
+
+
+def _graph_rows(w: WalkMatrix, rows, den: int, modulus: int) -> tuple | None:
+    """The rows of rows / den (residues mod a prime) if they are a 0/1
+    graph with this W, else None; den 0 mod p raises ZeroDivisionError."""
+    adj = ExactMatrix(_divide_rows(rows, den, modulus))
+    if not verify_candidate(adj, w):
+        return None
+    return tuple(map(adj.row, range(w.n)))
 
 
 def _rank_mod_prime(w: WalkMatrix) -> int:

@@ -12,8 +12,9 @@ import pytest
 
 import refdata
 from walkmat.cli import _parse_set, main
-from walkmat.errors import MalformedHeader, TruncatedBody
-from walkmat.graphs import parse_adjacency_text, parse_edge_list_text
+from walkmat.errors import MalformedHeader, TooLarge, TruncatedBody
+from walkmat.graphs import (EDGE_LIST_MAX_ORDER, parse_adjacency_text,
+                            parse_edge_list_text)
 from walkmat.walk import from_json, from_text
 
 
@@ -134,7 +135,7 @@ def test_reconstruct_undetermined(tmp_path):
 
 
 def test_cli_starts_without_numpy(paw_al, mates8_walk):
-    # only spectral --numeric, float_eigencheck and roundtrip load NumPy,
+    # only spectral --numeric and roundtrip load NumPy,
     # only stats and roundtrip with --jobs > 1 start a process pool, and
     # only stats and roundtrip import the oracle module
     code = textwrap.dedent(f"""
@@ -280,6 +281,8 @@ def test_non_integer_token_is_a_typed_data_error(tmp_path, command, name,
 
 @pytest.mark.parametrize("command, name, text, parse, error", [
     ("walk", "g.el", "-1 0\n", parse_edge_list_text, MalformedHeader),
+    ("walk", "g.el", f"{EDGE_LIST_MAX_ORDER + 1} 0\n", parse_edge_list_text,
+     TooLarge),
     ("walk", "g.am", "0 2\n2 0\n", parse_adjacency_text, TruncatedBody),
     ("walk", "g.am", "0 1\n1 1\n", parse_adjacency_text, TruncatedBody),
     ("walk", "g.am", "0 1\n0 0\n", parse_adjacency_text, TruncatedBody),
@@ -292,7 +295,7 @@ def test_non_integer_token_is_a_typed_data_error(tmp_path, command, name,
     ("reconstruct", "w.json",
      '{"n": 2, "set": [1, 2], "columns": [["1", "1"], ["-1", "0"]]}',
      from_json, TruncatedBody),
-], ids=["negative-order", "adjacency-entry", "adjacency-diagonal",
+], ids=["negative-order", "order-above-cap", "adjacency-entry", "adjacency-diagonal",
         "adjacency-asymmetric", "walk-text-column0", "walk-text-negative",
         "walk-json-column0", "walk-json-negative"])
 def test_out_of_range_value_is_a_typed_data_error(tmp_path, command, name,
@@ -305,6 +308,23 @@ def test_out_of_range_value_is_a_typed_data_error(tmp_path, command, name,
     p = tmp_path / name
     p.write_text(text)
     assert run([command, str(p)]) == (3, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--n", "4", "--trials", "5", "--jobs", "0"],
+    ["stats", "--n", "4", "--trials", "5", "--jobs", "-2"],
+    ["stats", "--n", "4", "--trials", "0"],
+    ["stats", "--n", "-1", "--trials", "5"],
+    ["roundtrip", "--n", "0"],
+    ["roundtrip", "--n", "4", "--samples", "-1"],
+    ["roundtrip", "--n", "4", "--jobs", "0"],
+], ids=["stats-jobs-0", "stats-jobs-negative", "stats-trials-0",
+        "stats-n-negative", "roundtrip-n-0", "roundtrip-samples-negative",
+        "roundtrip-jobs-0"])
+def test_count_option_below_its_bound_is_a_usage_error(argv):
+    # argparse refuses the value, as it does a non-integer one: exit 2
+    # with nothing on stdout, before any trial runs
+    assert run(argv) == (2, "")
 
 
 def test_stdin_input(monkeypatch):

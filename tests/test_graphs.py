@@ -145,11 +145,3 @@ def test_relabel_and_complement(paw):
     # swapping v3 and v4 is an automorphism of the paw graph
     swapped = paw.relabel([0, 1, 3, 2])
     assert swapped.adj == paw.adj
-    comp = paw.complement()
-    assert edge_count(comp) == 6 - 4
-    assert comp.complement().adj == paw.adj
-
-
-def test_connectivity(paw):
-    assert paw.is_connected()
-    assert not from_edge_list(3, [(1, 2)]).is_connected()

@@ -2,13 +2,14 @@
 
 import pytest
 
+from brute_oracles import count_walks, float_eigencheck
 import refdata
 from walkmat import VertexSet, from_edge_list, parse_graph6, rank, walk_matrix
 from walkmat.errors import EmptySet, TooLarge
-from walkmat.oracle import (SplitMix64, brute_force_isomorphic, count_walks,
+from walkmat.oracle import (SplitMix64, brute_force_isomorphic,
                             enumerate_graph_classes, exhaustive_roundtrip,
-                            float_eigencheck, random_graph,
-                            random_nonempty_set, rank_statistics)
+                            random_graph, random_nonempty_set,
+                            rank_statistics)
 
 
 def test_count_walks_paw(paw, paw_sets):
@@ -102,6 +103,36 @@ def test_float_eigencheck_random():
         g = random_graph(n, rng)
         s = random_nonempty_set(n, rng)
         assert float_eigencheck(g, s)
+
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # a recorder stands in for the process pool, so none is started
+    import concurrent.futures
+    import walkmat.oracle as oracle
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    assert oracle._map(abs, [-1, 2], 1000, 4) == [1, 2]
+    assert oracle._map(abs, [-1], 2, 4) == [1]
+    assert oracle._map(abs, [-1], 1, 4) == [1]
+    assert rank_statistics(5, 30, 9, jobs=64) == rank_statistics(5, 30, 9)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+    assert oracle._map(abs, [-1], 8, 4) == [1]
+    assert sizes == [3, 2, 3]
 
 
 def test_splitmix_reference_values():
