@@ -76,7 +76,7 @@ class NegativeDiscriminant(NotAWalkMatrix):
 # --- canonical forms / certificates ---
 
 class OrderMismatch(WalkmatError):
-    """The two graphs have different orders."""
+    """Two graphs, or a graph and a vertex set, have different orders."""
 
 
 class TheoremViolation(WalkmatError):

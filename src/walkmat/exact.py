@@ -46,6 +46,16 @@ def _entry(x) -> Number:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+_INT = frozenset((int,))
+
+
+def _stored_row(row: Iterable) -> Vector:
+    """A row in stored form: a row of plain ints is kept as it is, any
+    other row goes through `_entry` entry by entry."""
+    row = tuple(row)
+    return row if set(map(type, row)) <= _INT else tuple(map(_entry, row))
+
+
 def _divmod(x: int, d: int, modulus: int = 0) -> tuple[int, int]:
     """divmod(x, d); modulo a prime p, (x d^-1 mod p, 0).  A d that is 0
     (mod p) raises ZeroDivisionError."""
@@ -82,7 +92,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, entries: Iterable[Iterable]):
-        grid = tuple(tuple(map(_entry, row)) for row in entries)
+        grid = tuple(map(_stored_row, entries))
         if grid and any(len(r) != len(grid[0]) for r in grid):
             raise ValueError("ragged rows")
         self._entries = grid

@@ -1,9 +1,10 @@
 """Walk matrices W^S = [e, Ae, ..., A^{n-1}e] and their slices.
 
 Columns are built by neighbor summation over adjacency lists, never by matrix
-powers: column k+1 at vertex v is the sum of column k over v's neighbors.
-Entries are exact arbitrary-precision Python ints; they grow geometrically
-with the column index.
+powers: column k+1 at vertex v is the sum of column k over v's neighbors,
+picked out of the column in one call of an `operator.itemgetter` built once
+per vertex.  Entries are exact arbitrary-precision Python ints; they grow
+geometrically with the column index.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 
-from .errors import EmptySet, NotDisjoint, MalformedHeader, TruncatedBody
+from .errors import (EmptySet, NotDisjoint, MalformedHeader, OrderMismatch,
+                     TruncatedBody)
 from .exact import ExactMatrix
 from .graphs import Graph, VertexSet, _ints
 
@@ -64,12 +67,17 @@ def _walk_columns(g: Graph, s: VertexSet, count: int) -> list[list[int]]:
     if s.is_empty():
         raise EmptySet("walk matrix needs a non-empty vertex set")
     if s.n != g.n:
-        raise ValueError("vertex set order does not match graph order")
+        raise OrderMismatch(f"orders differ: set {s.n} vs graph {g.n}")
+    n = g.n
+    # an itemgetter of one index returns a scalar and of none raises, so a
+    # vertex of degree 0 or 1 also picks the zero slot past the column, twice
+    # or once: every getter returns a tuple
+    gets = [itemgetter(*nbrs, *(n,) * (2 - len(nbrs))) for nbrs in g.neighbors]
     col = list(s.characteristic)
     cols = [col]
-    nbrs = g.neighbors
     for _ in range(count - 1):
-        col = [sum(col[u] for u in nbrs[v]) for v in range(g.n)]
+        padded = col + [0]
+        col = [sum(get(padded)) for get in gets]
         cols.append(col)
     return cols
 

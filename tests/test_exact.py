@@ -86,6 +86,18 @@ def test_integer_entries_are_stored_as_ints():
     for bad in (1.0, "1", np.int64(1)):
         with pytest.raises(TypeError):
             ExactMatrix([[bad]])
+    # rows of bools only, or of Fractions with denominator 1, become ints
+    for row, want in (((True, False), (1, 0)), ((F(4, 2), F(-3)), (2, -3))):
+        got = ExactMatrix([row]).row(0)
+        assert got == want and [type(x) for x in got] == [int, int]
+    # lists, tuples and generators all give tuple rows of equal value
+    rows = [[3, -1], [F(1, 2), 0]]
+    forms = [ExactMatrix(rows), ExactMatrix(tuple(map(tuple, rows))),
+             ExactMatrix((x for x in row) for row in rows)]
+    for m in forms:
+        assert m == forms[0] and m.rows == 2
+        assert all(type(m.row(i)) is tuple and m.row(i) == tuple(rows[i])
+                   for i in range(2))
     # answers follow the same rule
     (x,) = kernel_basis(ExactMatrix([[2, 1]]))
     assert x == (F(-1, 2), 1) and [type(v) for v in x] == [F, int]

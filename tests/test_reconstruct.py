@@ -372,6 +372,15 @@ def _forward_outputs(w, g=None):
     return out
 
 
+def _certify_relabelled(g, s):
+    """certify_isomorphism from (g, s) to its image under a fixed turn of
+    the vertices, i -> i + 1 mod n."""
+    from walkmat import certify_isomorphism
+    turn = [(i + 1) % g.n for i in range(g.n)]
+    image = VertexSet.of(g.n, [turn[v - 1] + 1 for v in s.members])
+    return certify_isomorphism(g, s, g.relabel(turn), image)
+
+
 def _assert_same_forward(got, want, mu_exact):
     """Equal summary, A_W and P_K; mu bit for bit when mu_exact, else
     within 1e-12."""
@@ -396,7 +405,8 @@ def test_forced_fallback_keeps_every_output(monkeypatch, echelon_calls,
     # drops mod p, and the exact path must then give the same answer; the
     # forward calls take a full-rank answer from the same modular analysis,
     # and the graph-facing calls too must give what the walk-facing ones
-    # gave with the real prime
+    # gave with the real prime; so must the isomorphism certificate, whose
+    # rank gate runs mod the prime
     import sys
     inputs = _fallback_inputs()
     expected = [reconstruct(ReconstructionInput(w, hint))
@@ -404,6 +414,10 @@ def test_forced_fallback_keeps_every_output(monkeypatch, echelon_calls,
     assert {res.status for res in expected} == \
         {"unique", "pair", "undetermined"}
     forward = [_forward_outputs(w) for w, _, _ in inputs]
+    certs = [_certify_relabelled(g, w.vertex_set)
+             for w, _, g in inputs if g is not None]
+    assert {c.verdict for c in certs} == \
+        {"isomorphic", "isomorphic_pair", "inconclusive"}
     # spectral is the one module that reads the prime
     monkeypatch.setattr(sys.modules["walkmat.spectral"], "PRIME", prime)
     fell_back = forward_fell_back = graph_fell_back = 0
@@ -423,6 +437,8 @@ def test_forced_fallback_keeps_every_output(monkeypatch, echelon_calls,
             graph_fell_back += got[0].full_rank and 0 in echelon_calls
     counts = (fell_back, forward_fell_back, graph_fell_back)
     assert all(c >= f for c, f in zip(counts, floors)), counts
+    assert [_certify_relabelled(g, w.vertex_set)
+            for w, _, g in inputs if g is not None] == certs
 
 
 def _graph_at_rank(make, n, offset):

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from brute_oracles import count_walks
 import refdata
-from walkmat import (ExactMatrix, VertexSet, WalkMatrix, additivity_check,
-                     from_edge_list, hankel_matrix, rank, shift_identity_check,
-                     walk_matrix, walk_slice)
-from walkmat.errors import EmptySet, NotDisjoint
+from walkmat import (ExactMatrix, Graph, VertexSet, WalkMatrix,
+                     additivity_check, from_edge_list, hankel_matrix, rank,
+                     shift_identity_check, walk_matrix, walk_slice)
+from walkmat.errors import EmptySet, NotDisjoint, OrderMismatch
 from walkmat.oracle import SplitMix64, random_graph, random_nonempty_set
 from walkmat.walk import from_json, from_text, to_json, to_text
 
@@ -44,6 +44,11 @@ def test_single_vertex():
 def test_empty_set_rejected(paw):
     with pytest.raises(EmptySet):
         walk_matrix(paw, VertexSet.of(4, []))
+
+
+def test_order_mismatch_rejected(paw):
+    with pytest.raises(OrderMismatch):
+        walk_matrix(paw, VertexSet.full(5))
 
 
 def test_slice_matches_walk_matrix(paw, paw_sets):
@@ -173,6 +178,40 @@ def test_column_recurrence(seed):
         col, nxt = w.w.col(k), w.w.col(k + 1)
         for v in range(g.n):
             assert nxt[v] == sum(col[u] for u in g.neighbors[v])
+
+
+def _with_isolated_and_pendants(n, seed):
+    """Seeded G(n, 1/2) with vertex 1 isolated and vertices 2 and 3 pendant
+    (on vertices 4 and 5), so the recurrence meets degrees 0 and 1."""
+    adj = [list(row) for row in random_graph(n, SplitMix64(seed)).adj]
+    for v in range(3):
+        for u in range(n):
+            adj[v][u] = adj[u][v] = 0
+    for v, u in ((1, 3), (2, 4)):
+        adj[v][u] = adj[u][v] = 1
+    return Graph(n, tuple(map(tuple, adj)))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_walk_matrix_at_scale(n):
+    g = _with_isolated_and_pendants(n, n)
+    assert sorted(map(len, g.neighbors))[:3] == [0, 1, 1]
+    for s in (VertexSet.full(n), VertexSet.of(n, range(1, n + 1, 3))):
+        w = walk_matrix(g, s).w
+        assert w.col(0) == s.characteristic
+        if n == 32:
+            # the matrix-power counter costs n^4, too much at n = 64
+            table = count_walks(g, s, n - 1)
+            assert all(w.row(v) == table.counts[v] for v in range(n))
+        else:
+            # the exact product A W_[0,n-1] against W_[1,n], past n
+            assert shift_identity_check(g, s, 0, n - 1)
+    # the slice past n continues the recurrence: A^{n+1} e = A (A^n e)
+    tail = walk_slice(g, s, n - 1, n + 1).m
+    assert tail.col(0) == w.col(n - 1)
+    head = ExactMatrix.from_columns([tail.col(0), tail.col(1)])
+    assert g.adjacency * head == ExactMatrix.from_columns(
+        [tail.col(1), tail.col(2)])
 
 
 @given(seeds)
